@@ -1,0 +1,15 @@
+#!/usr/bin/env bash
+# Builds the benchmark from the checkout's sources and runs it with the
+# given arguments. Run from the root of the checkout:
+#
+#   bash perfbench/run.sh --workload deep-query --seed 1 --seconds 10 --trace 0
+#
+# Every build artefact (the Go build cache and the binary) stays under
+# .bench_build/ in the checkout.
+set -euo pipefail
+root=$(pwd)
+out="$root/.bench_build"
+mkdir -p "$out"
+export GOCACHE="$out/gocache" GOPATH="$out/gopath" GOFLAGS= GOTOOLCHAIN=local GOWORK=off
+(cd "$root/perfbench" && go build -o "$out/perfbench" .)
+exec "$out/perfbench" "$@"
