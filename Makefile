@@ -11,7 +11,7 @@ FUZZTIME ?= 10s
 # regression pass.
 COVERAGE_FLOOR ?= 78.0
 
-.PHONY: all check test race bench bench-json bench-wallclock bench-metrics bench-replica bench-shard bench-cache bench-zipf bench-obs golden-guard vet fmt fuzz cover experiments examples clean
+.PHONY: all check test race bench bench-json golden-guard vet fmt fuzz cover experiments examples clean
 
 all: vet test
 
@@ -70,84 +70,41 @@ bench:
 bench-json:
 	$(GO) run ./cmd/vbench -json BENCH_vbench.json > vbench_output.txt
 
-# Wall-clock benchmark harness (EXPERIMENTS.md A13): hot-path ns/op and
-# allocs/op plus sequential-vs-parallel driver throughput, written as a
-# self-describing JSON document (records GOMAXPROCS and CPU count).
-bench-wallclock:
-	$(GO) run ./cmd/vbench -wallclock BENCH_wallclock.json
+# Deterministic documents, one per `vbench -<doc>` flag (cmd/vbench's
+# docs table; TestDocsMatchMakefile keeps the two lists equal). Each is
+# committed as BENCH_<doc>.json and byte-identical across runs:
+#   metrics  A14 per-(server,op) latency histograms, counters, per-tick
+#            series and the chaos health report
+#   replica  A15 the A14 chaos schedule against a replicated fs1
+#   shard    A16 the conservative engine's shard-count sweep, each point
+#            verified deeply equal to the sequential driver
+#   cache    A17 lease-length hit-rate sweep plus crash/partition legs
+#   zipf     A18 population-scale index cost and open-loop Zipf sweeps;
+#            the 10⁶-name legs make it the slowest export (~40 s)
+#   obs      A19 top-k recall, EWMA convergence, sampled tracing and the
+#            lease auto-tuner
+# Host-time performance is measured by perfbench (bash perfbench/run.sh).
+DOCS = metrics replica shard cache zipf obs
 
-# Deterministic metrics document (EXPERIMENTS.md A14): per-(server,op)
-# latency histograms, counters, per-tick series, and the chaos health
-# report, byte-identical across runs.
-bench-metrics:
-	$(GO) run ./cmd/vbench -metrics BENCH_metrics.json
+# Regenerate one committed document, e.g. `make bench-zipf`.
+bench-%:
+	$(GO) run ./cmd/vbench -$* BENCH_$*.json
 
-# Deterministic replication document (EXPERIMENTS.md A15): the A14
-# chaos schedule against a consensus-replicated fs1 — client-observed
-# availability, failover latency percentiles, and the group's event
-# log, byte-identical across runs.
-bench-replica:
-	$(GO) run ./cmd/vbench -replica BENCH_replica.json
-
-# Deterministic sharded-engine document (EXPERIMENTS.md A16): the
-# conservative engine's shard-count sweep on the shared-prefix topology,
-# each point verified deeply equal to the sequential driver, with the
-# lookahead bound and the confined/shared operation mix. Byte-identical
-# across runs (all virtual time; wall-clock scaling lives in
-# bench-wallclock).
-bench-shard:
-	$(GO) run ./cmd/vbench -shard BENCH_shard.json
-
-# Deterministic lease-coherence document (EXPERIMENTS.md A17): the
-# lease-length hit-rate sweep across the cache hierarchy (with and
-# without the intermediate tier), plus the crash and partition legs
-# whose traces are checked against the lease staleness bound.
-# Byte-identical across runs.
-bench-cache:
-	$(GO) run ./cmd/vbench -cache BENCH_cache.json
-
-# Deterministic population-scale document (EXPERIMENTS.md A18): the
-# radix-vs-flat index cost at 10³–10⁶ names, the open-loop Zipf
-# throughput/latency sweep over population (flat and tiered, each point
-# at or below the equivalence bound verified deeply equal to the
-# sequential driver), the skew sweep, and the traced mid-run
-# redefinition leg checked against the lease staleness bound.
-# Byte-identical across runs. The 10⁶-name legs make this the slowest
-# export (~40 s); it is exercised by golden-guard, not plain `go test`.
-bench-zipf:
-	$(GO) run ./cmd/vbench -zipf BENCH_zipf.json
-
-# Deterministic observability document (EXPERIMENTS.md A19): top-k
-# sketch recall vs exact Zipf counts, EWMA convergence, sampled-vs-full
-# trace agreement on the A12 decomposition with the flight journal's
-# event counts, and the lease auto-tuner against the fixed-lease sweep
-# on the (hit rate, staleness) frontier. Byte-identical across runs.
-bench-obs:
-	$(GO) run ./cmd/vbench -obs BENCH_obs.json
-
-# Byte-identity guard for the committed golden outputs: the wall-clock
-# work must not perturb a single virtual-time result, trace span, or
-# metrics quantile. Regenerating vbench_output.txt with the metrics
-# registry installed doubles as the zero-virtual-cost gate.
-# Regenerates each golden into a scratch dir and compares byte-for-byte.
+# Byte-identity guard for the committed golden outputs: no change may
+# perturb a single virtual-time result, trace span, or metrics quantile.
+# Regenerating vbench_output.txt with the metrics registry installed
+# doubles as the zero-virtual-cost gate. Regenerates each golden into a
+# scratch dir and compares byte-for-byte.
 golden-guard:
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/vbench > $$tmp/vbench_output.txt && \
 	cmp vbench_output.txt $$tmp/vbench_output.txt && \
 	$(GO) run ./cmd/vbench -trace $$tmp/golden_trace.json >/dev/null && \
 	cmp internal/experiments/testdata/golden_trace.json $$tmp/golden_trace.json && \
-	$(GO) run ./cmd/vbench -metrics $$tmp/BENCH_metrics.json >/dev/null && \
-	cmp BENCH_metrics.json $$tmp/BENCH_metrics.json && \
-	$(GO) run ./cmd/vbench -replica $$tmp/BENCH_replica.json >/dev/null && \
-	cmp BENCH_replica.json $$tmp/BENCH_replica.json && \
-	$(GO) run ./cmd/vbench -shard $$tmp/BENCH_shard.json >/dev/null && \
-	cmp BENCH_shard.json $$tmp/BENCH_shard.json && \
-	$(GO) run ./cmd/vbench -cache $$tmp/BENCH_cache.json >/dev/null && \
-	cmp BENCH_cache.json $$tmp/BENCH_cache.json && \
-	$(GO) run ./cmd/vbench -zipf $$tmp/BENCH_zipf.json >/dev/null && \
-	cmp BENCH_zipf.json $$tmp/BENCH_zipf.json && \
-	$(GO) run ./cmd/vbench -obs $$tmp/BENCH_obs.json >/dev/null && \
-	cmp BENCH_obs.json $$tmp/BENCH_obs.json && \
+	( for d in $(DOCS); do \
+		$(GO) run ./cmd/vbench -$$d $$tmp/BENCH_$$d.json >/dev/null && \
+		cmp BENCH_$$d.json $$tmp/BENCH_$$d.json || exit 1; \
+	done ) && \
 	echo "golden outputs byte-identical" && rm -rf $$tmp || \
 	{ echo "golden outputs drifted from committed files"; rm -rf $$tmp; exit 1; }
 

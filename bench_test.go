@@ -31,12 +31,13 @@ func benchRig(b *testing.B, cfg rig.Config) *rig.Rig {
 func startEcho(b *testing.B, h *kernel.Host) *kernel.Process {
 	b.Helper()
 	p, err := h.Spawn("echo", func(p *kernel.Process) {
+		var reply proto.Message
 		for {
 			msg, from, err := p.Receive()
 			if err != nil {
 				return
 			}
-			reply := *msg
+			reply = *msg
 			reply.Op = proto.ReplyOK
 			if err := p.Reply(&reply, from); err != nil {
 				return
@@ -50,7 +51,10 @@ func startEcho(b *testing.B, h *kernel.Host) *kernel.Process {
 }
 
 // BenchmarkE1MessageTransaction measures the Figure 1 Send-Receive-Reply
-// primitive (§3.1), same-host and cross-host.
+// primitive (§3.1), same-host and cross-host. It is the repository's one
+// in-tree E1 timing: both endpoints reuse a preallocated message, so the
+// loop times the transaction alone and reports 0 allocs/op, the figure
+// perfbench publishes as kernel.send_allocs.
 func BenchmarkE1MessageTransaction(b *testing.B) {
 	for _, remote := range []bool{false, true} {
 		name := "local"
@@ -69,10 +73,11 @@ func BenchmarkE1MessageTransaction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			req := &proto.Message{Op: proto.OpEcho}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := client.Send(&proto.Message{Op: proto.OpEcho}, echo.PID()); err != nil {
+				if _, err := client.Send(req, echo.PID()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -384,10 +389,9 @@ func BenchmarkE5PrefixTable(b *testing.B) {
 var defineSeq int
 
 // benchShardedWorkload drives the sharded closed-loop workload once per
-// iteration on a fresh topology (setup excluded from the timer) and
-// reports wall-clock requests per second. workers == 0 selects the
-// sequential driver.
-func benchShardedWorkload(b *testing.B, workers int) {
+// iteration on a fresh topology (setup excluded from the timer) with
+// the given driver and reports wall-clock requests per second.
+func benchShardedWorkload(b *testing.B, run func([]*rig.WorkloadClient) *rig.WorkloadResult) {
 	cfg := rig.ShardConfig{Shards: 8, ClientsPerShard: 8, Requests: 25, Team: 1, Seed: 42}
 	total := 0
 	b.ReportAllocs()
@@ -399,12 +403,7 @@ func benchShardedWorkload(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		var res *rig.WorkloadResult
-		if workers == 0 {
-			res = rig.RunWorkload(sw.Clients)
-		} else {
-			res = rig.RunWorkloadParallel(sw.Clients, workers)
-		}
+		res := run(sw.Clients)
 		b.StopTimer()
 		total += res.Requests
 		// Tear down the topology's server goroutines between iterations.
@@ -416,16 +415,17 @@ func benchShardedWorkload(b *testing.B, workers int) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkWorkloadSequential is the single-threaded driver baseline for
-// the wall-clock scaling comparison (EXPERIMENTS.md A13).
-func BenchmarkWorkloadSequential(b *testing.B) { benchShardedWorkload(b, 0) }
+// BenchmarkWorkloadSequential is the single-threaded reference driver.
+func BenchmarkWorkloadSequential(b *testing.B) { benchShardedWorkload(b, rig.RunWorkload) }
 
-// BenchmarkWorkloadParallel measures the parallel driver's wall-clock
-// throughput at several worker-pool sizes over the same workload. The
-// virtual-time results are identical to the sequential driver's (see
-// TestParallelDriverEquivalence); only wall-clock time changes.
-func BenchmarkWorkloadParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchShardedWorkload(b, w) })
-	}
+// BenchmarkWorkloadEngine measures the conservative-engine driver over
+// the same workload. Its virtual-time results are identical to the
+// sequential driver's (see TestParallelDriverEquivalence); only
+// wall-clock time changes. The engine runs one goroutine per lane, so
+// real parallelism is set by GOMAXPROCS: compare settings with
+// `go test -bench WorkloadEngine -cpu 1,2`.
+func BenchmarkWorkloadEngine(b *testing.B) {
+	benchShardedWorkload(b, func(clients []*rig.WorkloadClient) *rig.WorkloadResult {
+		return rig.RunWorkloadEngine(clients, rig.EngineOptions{})
+	})
 }

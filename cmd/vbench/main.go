@@ -17,8 +17,13 @@
 //	vbench -zipf ZIPF.json       # export the A18 population-scale document (deterministic)
 //	vbench -obs OBS.json         # export the A19 observability document (deterministic)
 //	vbench -zipf Z.json -trace T.json  # also export a sampled 10⁶-name population trace
-//	vbench -wallclock W.json -engine sharded         # wall-clock run, one engine's rows
 //	vbench -zipf Z.json -cpuprofile cpu.pprof        # any mode can be profiled
+//
+// Host-time (wall-clock) performance is measured by the separate
+// perfbench module, not by vbench:
+//
+//	bash perfbench/run.sh --workload deep-query --seed 1 --seconds 10 --trace 0
+//	cd perfbench && go test ./...
 package main
 
 import (
@@ -41,29 +46,49 @@ func main() {
 	}
 }
 
+// doc is one deterministic document vbench exports: -<flag> PATH runs
+// the document's legs and writes it to PATH. Its committed golden is
+// BENCH_<flag>.json at the repository root, the name the Makefile's
+// DOCS list, bench-% rule and golden-guard use.
+type doc struct {
+	flag  string
+	what  string // "wrote <what> to PATH"
+	usage string
+	build func() ([]byte, error)
+}
+
+// golden is the committed golden file's path, relative to the
+// repository root.
+func (d doc) golden() string { return "BENCH_" + d.flag + ".json" }
+
+// docs are exported in this order when several flags are given.
+var docs = []doc{
+	{"metrics", "metrics document", "run the A14 metrics legs and write the deterministic metrics document (BENCH_metrics.json schema) to this file", experiments.MetricsJSON},
+	{"replica", "replication document", "run the A15 replicated chaos leg and write the deterministic replication document (BENCH_replica.json schema) to this file", experiments.ReplicaJSON},
+	{"shard", "sharded-engine document", "run the A16 sharded-engine sweep and write the deterministic shard document (BENCH_shard.json schema) to this file", experiments.ShardJSON},
+	{"cache", "lease-coherence document", "run the A17 lease-coherence legs and write the deterministic cache document (BENCH_cache.json schema) to this file", experiments.CacheJSON},
+	{"zipf", "population-scale document", "run the A18 population-scale legs and write the deterministic zipf document (BENCH_zipf.json schema) to this file; with -trace, also export a sampled million-name population trace", experiments.ZipfJSON},
+	{"obs", "observability document", "run the A19 observability legs and write the deterministic obs document (BENCH_obs.json schema) to this file", experiments.ObsJSON},
+}
+
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vbench", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	score := fs.Bool("score", false, "print the reproduction scorecard and exit")
 	jsonPath := fs.String("json", "", "also write per-experiment results as JSON to this file")
 	tracePath := fs.String("trace", "", "export the canonical single-client trace (span tree + wire frames) as JSON to this file")
-	wallclockPath := fs.String("wallclock", "", "run the wall-clock benchmark harness (A13) and write its JSON to this file; skips the virtual-time experiments")
-	engine := fs.String("engine", "all", "with -wallclock: restrict driver rows to one engine (sequential, lanes, sharded)")
-	shardPath := fs.String("shard", "", "run the A16 sharded-engine sweep and write the deterministic shard document (BENCH_shard.json schema) to this file")
-	cachePath := fs.String("cache", "", "run the A17 lease-coherence legs and write the deterministic cache document (BENCH_cache.json schema) to this file")
-	zipfPath := fs.String("zipf", "", "run the A18 population-scale legs and write the deterministic zipf document (BENCH_zipf.json schema) to this file; with -trace, also export a sampled million-name population trace")
-	obsPath := fs.String("obs", "", "run the A19 observability legs and write the deterministic obs document (BENCH_obs.json schema) to this file")
+	docPaths := make(map[string]*string, len(docs))
+	for _, d := range docs {
+		docPaths[d.flag] = fs.String(d.flag, "", d.usage)
+	}
 	popTrace := fs.Int("population", 1_000_000, "with -zipf and -trace together: population of the sampled trace export")
-	metricsPath := fs.String("metrics", "", "run the A14 metrics legs and write the deterministic metrics document (BENCH_metrics.json schema) to this file")
-	replicaPath := fs.String("replica", "", "run the A15 replicated chaos leg and write the deterministic replication document (BENCH_replica.json schema) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	heapProfile := fs.String("heapprofile", "", "write a heap profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The profile flags cover every mode (the ISSUE-10 profiling loop
-	// cares about -zipf and -obs specifically): CPU from here to exit,
-	// heap after the last workload retires.
+	// The profile flags cover every mode: CPU from here to exit, heap
+	// after the last workload retires.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -102,137 +127,31 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	if *wallclockPath != "" {
-		// Wall-clock results are machine-dependent by nature, so they are
-		// kept out of the experiments registry (and out of the byte-pinned
-		// vbench_output.txt): this mode runs only the A13 harness.
-		doc, err := experiments.WallClock(*engine)
+	exported := false
+	for _, d := range docs {
+		path := *docPaths[d.flag]
+		if path == "" {
+			continue
+		}
+		data, err := d.build()
 		if err != nil {
-			return fmt.Errorf("wallclock: %w", err)
+			return fmt.Errorf("%s: %w", d.flag, err)
 		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return fmt.Errorf("write %s: %w", path, err)
 		}
-		if err := os.WriteFile(*wallclockPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *wallclockPath, err)
-		}
-		fmt.Fprintf(w, "wrote wall-clock benchmark results to %s (GOMAXPROCS=%d, %d CPUs)\n", *wallclockPath, doc.GOMAXPROCS, doc.NumCPU)
-		for _, hp := range doc.HotPath {
-			fmt.Fprintf(w, "  %-10s %6d ns/op  %4d B/op  %3d allocs/op  (baseline %d allocs/op)\n",
-				hp.Name, hp.NsPerOp, hp.BytesPerOp, hp.AllocsPerOp, doc.Baseline.E1AllocsPerOp)
-		}
-		for _, d := range doc.Driver {
-			label := d.Engine
-			if d.Workers > 0 {
-				label = fmt.Sprintf("%s/%d", d.Engine, d.Workers)
-			}
-			fmt.Fprintf(w, "  driver %-15s %-15s %9.0f req/s wall  (%.2fx vs sequential, makespan %s virtual)\n",
-				d.Topology, label, d.ReqPerSec, d.SpeedupVsSeq, d.VirtualMakespan)
-		}
+		fmt.Fprintf(w, "wrote %s to %s\n", d.what, path)
+		exported = true
+	}
+	// Document exports alone run no experiments; with -trace they
+	// continue into the trace export below.
+	if exported && len(fs.Args()) == 0 && *tracePath == "" {
 		return nil
-	}
-
-	if *metricsPath != "" {
-		data, err := experiments.MetricsJSON()
-		if err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		if err := os.WriteFile(*metricsPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *metricsPath, err)
-		}
-		fmt.Fprintf(w, "wrote metrics document to %s\n", *metricsPath)
-		// -metrics alone exports the document without running every
-		// experiment (mirrors -trace).
-		if len(fs.Args()) == 0 && *tracePath == "" && *replicaPath == "" && *shardPath == "" && *cachePath == "" && *zipfPath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *replicaPath != "" {
-		data, err := experiments.ReplicaJSON()
-		if err != nil {
-			return fmt.Errorf("replica: %w", err)
-		}
-		if err := os.WriteFile(*replicaPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *replicaPath, err)
-		}
-		fmt.Fprintf(w, "wrote replication document to %s\n", *replicaPath)
-		// -replica alone exports the document without running every
-		// experiment (mirrors -metrics).
-		if len(fs.Args()) == 0 && *tracePath == "" && *shardPath == "" && *cachePath == "" && *zipfPath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *shardPath != "" {
-		data, err := experiments.ShardJSON()
-		if err != nil {
-			return fmt.Errorf("shard: %w", err)
-		}
-		if err := os.WriteFile(*shardPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *shardPath, err)
-		}
-		fmt.Fprintf(w, "wrote sharded-engine document to %s\n", *shardPath)
-		// -shard alone exports the document without running every
-		// experiment (mirrors -metrics).
-		if len(fs.Args()) == 0 && *tracePath == "" && *cachePath == "" && *zipfPath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *cachePath != "" {
-		data, err := experiments.CacheJSON()
-		if err != nil {
-			return fmt.Errorf("cache: %w", err)
-		}
-		if err := os.WriteFile(*cachePath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *cachePath, err)
-		}
-		fmt.Fprintf(w, "wrote lease-coherence document to %s\n", *cachePath)
-		// -cache alone exports the document without running every
-		// experiment (mirrors -metrics).
-		if len(fs.Args()) == 0 && *tracePath == "" && *zipfPath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *zipfPath != "" {
-		data, err := experiments.ZipfJSON()
-		if err != nil {
-			return fmt.Errorf("zipf: %w", err)
-		}
-		if err := os.WriteFile(*zipfPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *zipfPath, err)
-		}
-		fmt.Fprintf(w, "wrote population-scale document to %s\n", *zipfPath)
-		// -zipf alone exports the document without running every
-		// experiment (mirrors -metrics). With -trace it continues into
-		// the sampled population-trace export below.
-		if len(fs.Args()) == 0 && *tracePath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *obsPath != "" {
-		data, err := experiments.ObsJSON()
-		if err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-		if err := os.WriteFile(*obsPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *obsPath, err)
-		}
-		fmt.Fprintf(w, "wrote observability document to %s\n", *obsPath)
-		// -obs alone exports the document without running every
-		// experiment (mirrors -metrics).
-		if len(fs.Args()) == 0 && *tracePath == "" {
-			return nil
-		}
 	}
 
 	ids := fs.Args()
 	if *tracePath != "" {
-		if *zipfPath != "" {
+		if *docPaths["zipf"] != "" {
 			// Combined -zipf -trace: the population-scale acceptance run.
 			// The full tracer is O(ops) and cannot hold a million-name
 			// workload; the sampled tracer retains O(k) spans, so this

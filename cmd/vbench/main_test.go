@@ -64,6 +64,33 @@ func TestVbenchScorecard(t *testing.T) {
 	}
 }
 
+// TestDocsMatchMakefile checks, without regenerating anything, that
+// the export table and the Makefile's DOCS list (which drives bench-%
+// and golden-guard) name the same documents in the same order, and that
+// every document's committed golden exists.
+func TestDocsMatchMakefile(t *testing.T) {
+	mk, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var makeDocs []string
+	for _, line := range strings.Split(string(mk), "\n") {
+		if rest, ok := strings.CutPrefix(line, "DOCS = "); ok {
+			makeDocs = strings.Fields(rest)
+		}
+	}
+	var names []string
+	for _, d := range docs {
+		names = append(names, d.flag)
+		if _, err := os.Stat(filepath.Join("../..", d.golden())); err != nil {
+			t.Errorf("-%s golden: %v", d.flag, err)
+		}
+	}
+	if strings.Join(names, " ") != strings.Join(makeDocs, " ") {
+		t.Fatalf("vbench docs %v, Makefile DOCS %v", names, makeDocs)
+	}
+}
+
 // TestVbenchCacheGolden regenerates the A17 lease-coherence document
 // through the CLI path and byte-compares it with the committed golden,
 // so BENCH_cache.json drift is caught by plain `go test` as well as by

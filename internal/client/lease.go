@@ -63,8 +63,8 @@ type leaseEntry struct {
 // all read lock-free off the COW root, so a classifier probing tens of
 // thousands of draws never serializes against invalidations. Counters
 // are atomics (the callback process bumps Invalidations concurrently
-// with the session goroutine's hit path), read with the same torn-read
-// snapshot discipline as the prefix server's.
+// with the session goroutine's hit path), read through
+// metrics.StableRead.
 type leaseCache struct {
 	entries *nametree.Tree[leaseEntry]
 	ctr     leaseCounters
@@ -95,21 +95,6 @@ func (c *leaseCounters) load() LeaseStats {
 		Invalidations: int(c.invalidations.Load()),
 		Stale:         int(c.stale.Load()),
 	}
-}
-
-// Snapshot returns a torn-read-resistant copy of the counters: each
-// field is an atomic load, re-read until two consecutive passes agree
-// (bounded, falling back to the last read under sustained traffic).
-func (c *leaseCounters) Snapshot() LeaseStats {
-	prev := c.load()
-	for i := 0; i < 3; i++ {
-		cur := c.load()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
 }
 
 // lease lookup outcomes.
@@ -160,7 +145,7 @@ func (s *Session) LeaseCacheStats() LeaseStats {
 	if s.leases == nil {
 		return LeaseStats{}
 	}
-	return s.leases.ctr.Snapshot()
+	return metrics.StableRead(s.leases.ctr.load)
 }
 
 // LeaseNameRates returns the session's client-side per-prefix churn

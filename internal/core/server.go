@@ -129,23 +129,6 @@ func (c *serverCounters) load() ServerStats {
 	}
 }
 
-// Snapshot returns a torn-read-resistant copy of the counters: each
-// field is an atomic load, and the whole set is re-read until two
-// consecutive passes agree (bounded, falling back to the last read
-// under sustained traffic). A mid-run reader therefore never sees a
-// request counted whose CSname/failure classification is not.
-func (c *serverCounters) Snapshot() ServerStats {
-	prev := c.load()
-	for i := 0; i < 3; i++ {
-		cur := c.load()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
-}
-
 // NewServer assembles a CSNH server from its process, store and handler.
 func NewServer(proc *kernel.Process, store ContextStore, handler Handler, opts ...Option) *Server {
 	var o serverOptions
@@ -205,9 +188,10 @@ func (s *Server) Err() error { return s.team.Err() }
 func (s *Server) Exited() <-chan struct{} { return s.team.Exited() }
 
 // Stats returns a stabilized snapshot of the server's protocol counters
-// (see serverCounters.Snapshot).
+// (see metrics.StableRead): a mid-run reader never sees a request
+// counted whose CSname/failure classification is not.
 func (s *Server) Stats() ServerStats {
-	return s.stats.Snapshot()
+	return metrics.StableRead(s.stats.load)
 }
 
 // serveOne processes a single request on the serving process p and

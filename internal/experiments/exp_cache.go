@@ -147,7 +147,7 @@ func a17Run(lease time.Duration, tier bool) (CacheRun, error) {
 	if err != nil {
 		return run, err
 	}
-	par := rig.RunWorkloadParallel(parTop.Clients, 0)
+	par := rig.RunWorkloadEngine(parTop.Clients, rig.EngineOptions{})
 
 	run.EqualToSequential = reflect.DeepEqual(seq, par)
 	run.TotalRequests = par.Requests

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/client"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/prefix"
+	"repro/internal/rig"
 	"repro/internal/vtime"
 )
 
@@ -26,9 +26,7 @@ import (
 // modelled conservatively — the plateau lands at the single-stream
 // pipeline rate (~1.5 Mbit/s goodput) rather than the ~2.7 Mbit/s a
 // packet-interleaved medium would reach. The qualitative result
-// (saturation; ~linear per-load slowdown) is the point. Reservation
-// order also depends on goroutine scheduling, so per-run numbers vary
-// slightly.
+// (saturation; ~linear per-load slowdown) is the point.
 func A9() (Result, error) {
 	const imageBytes = 64 * 1024
 
@@ -37,10 +35,8 @@ func A9() (Result, error) {
 		net := netsim.New(model, 1)
 		k := kernel.New(net)
 
-		type pair struct {
-			sess *client.Session
-		}
-		pairs := make([]pair, 0, n)
+		loaders := make([]*rig.WorkloadClient, 0, n)
+		var loadErr error // written only by the sequential driver's goroutine
 		for i := 0; i < n; i++ {
 			fsHost := k.NewHost(fmt.Sprintf("fs%d", i))
 			fs, err := fileserver.Start(fsHost, fmt.Sprintf("fs%d", i))
@@ -66,37 +62,29 @@ func A9() (Result, error) {
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			pairs = append(pairs, pair{sess: client.New(proc, ps.PID(), pairOf(fs.PID(), 0), "")})
+			loaders = append(loaders, &rig.WorkloadClient{
+				Session:  client.New(proc, ps.PID(), pairOf(fs.PID(), 0), ""),
+				Requests: 1,
+				Op: func(s *client.Session, _ int) error {
+					_, err := s.LoadProgram("[bin]editor", make([]byte, imageBytes))
+					if err != nil {
+						loadErr = err
+					}
+					return err
+				},
+			})
 		}
 
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			fail error
-		)
-		for _, p := range pairs {
-			wg.Add(1)
-			go func(s *client.Session) {
-				defer wg.Done()
-				buf := make([]byte, imageBytes)
-				start := s.Proc().Now()
-				if _, err := s.LoadProgram("[bin]editor", buf); err != nil {
-					mu.Lock()
-					fail = err
-					mu.Unlock()
-					return
-				}
-				elapsed := s.Proc().Now() - start
-				mu.Lock()
-				if elapsed > worst {
-					worst = elapsed
-				}
-				mu.Unlock()
-			}(p.sess)
+		// The sequential driver issues the loads in virtual-time order,
+		// so wire reservations (and every row) repeat exactly.
+		res := rig.RunWorkload(loaders)
+		if loadErr != nil {
+			return 0, 0, 0, loadErr
 		}
-		wg.Wait()
-		if fail != nil {
-			return 0, 0, 0, fail
+		for _, st := range res.Clients {
+			if st.TotalLatency > worst {
+				worst = st.TotalLatency
+			}
 		}
 		totalBits := float64(n) * imageBytes * 8
 		aggregateMbit = totalBits / (float64(worst) / float64(time.Second)) / 1e6

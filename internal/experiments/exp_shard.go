@@ -1,14 +1,14 @@
 package experiments
 
 // A16 measures the conservative sharded engine (PROTOCOL.md §12) on the
-// shared-prefix topology — the shape PR 4's lane driver could not
-// parallelize at all, because every client's cache misses cross one
+// shared-prefix topology — the shape a lane driver without cross-lane
+// synchronization could not parallelize at all, because every client's cache misses cross one
 // wire to one prefix server. The engine's whole claim is that going
 // wide changes nothing observable: each sweep point runs the workload
 // both ways and reports the virtual throughput only after checking the
-// two results are deeply equal. Wall-clock scaling lives in
-// BENCH_wallclock.json (vbench -wallclock -engine sharded); everything
-// here is virtual time and therefore byte-deterministic.
+// two results are deeply equal. Host-time scaling is measured by
+// perfbench (perfbench/README.md); everything here is virtual time and
+// therefore byte-deterministic.
 
 import (
 	"encoding/json"
@@ -105,7 +105,7 @@ func a16Run(shards int) (ShardRun, error) {
 	if err != nil {
 		return run, err
 	}
-	par := rig.RunWorkloadParallel(parTop.Clients, 0)
+	par := rig.RunWorkloadEngine(parTop.Clients, rig.EngineOptions{})
 
 	run.EqualToSequential = reflect.DeepEqual(seq, par)
 	run.TotalRequests = par.Requests
@@ -164,8 +164,7 @@ func a16Collect() (*ShardDoc, []Row, error) {
 
 // A16 reports the sharded engine sweep. The virtual throughput column
 // is identical whichever driver produces it — that identity is the
-// measurement; wall-clock scaling (flat on 1-CPU runners, like PR 4's
-// lane-driver curve) is reported separately by vbench -wallclock.
+// measurement; host-time scaling is measured separately by perfbench.
 func A16() (Result, error) {
 	_, rows, err := a16Collect()
 	if err != nil {

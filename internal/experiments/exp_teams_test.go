@@ -98,7 +98,7 @@ func TestShardedByteIdenticalToSeed(t *testing.T) {
 		for i, c := range clients {
 			c.Lane = i
 		}
-		return rig.RunWorkloadParallel(clients, 0)
+		return rig.RunWorkloadEngine(clients, rig.EngineOptions{})
 	}
 	res := runExp(t, "a11")
 	var buf bytes.Buffer

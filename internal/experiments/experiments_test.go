@@ -281,9 +281,8 @@ func TestA9Shape(t *testing.T) {
 
 func TestExperimentsDeterministic(t *testing.T) {
 	// Serial experiments are pure virtual time: two runs must produce
-	// byte-identical rows. (A9 is excluded: it is genuinely concurrent
-	// and documented as approximately reproducible.)
-	for _, id := range []string{"e1", "e3", "t1", "a2"} {
+	// byte-identical rows.
+	for _, id := range []string{"e1", "e3", "t1", "a2", "a9"} {
 		first := runExp(t, id)
 		second := runExp(t, id)
 		if len(first.Rows) != len(second.Rows) {

@@ -92,23 +92,6 @@ func (c *statsCounters) load() Stats {
 	}
 }
 
-// Snapshot returns a torn-read-resistant copy of the counters: each
-// field is loaded atomically, and the whole set is re-read until two
-// consecutive passes agree (bounded, falling back to the last read
-// under sustained traffic). Mid-run readers therefore never see, e.g.,
-// a packet counted whose bytes are not.
-func (c *statsCounters) Snapshot() Stats {
-	prev := c.load()
-	for i := 0; i < 3; i++ {
-		cur := c.load()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
-}
-
 // netMetrics is the pre-resolved instrument set the wire path records
 // into when a metrics registry is installed.
 type netMetrics struct {
@@ -237,9 +220,9 @@ func (n *Network) recordLocked(ev FrameEvent) {
 }
 
 // Stats returns a stabilized snapshot of the cumulative traffic
-// counters (see statsCounters.Snapshot).
+// counters (see metrics.StableRead).
 func (n *Network) Stats() Stats {
-	return n.stats.Snapshot()
+	return metrics.StableRead(n.stats.load)
 }
 
 // SetMetrics installs (or, with nil, removes) a metrics registry the

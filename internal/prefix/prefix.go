@@ -182,21 +182,6 @@ func (c *statsCounters) load() Stats {
 	}
 }
 
-// Snapshot returns a torn-read-resistant copy of the counters: each
-// field is an atomic load, re-read until two consecutive passes agree
-// (bounded, falling back to the last read under sustained traffic).
-func (c *statsCounters) Snapshot() Stats {
-	prev := c.load()
-	for i := 0; i < 3; i++ {
-		cur := c.load()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
-}
-
 // tableEntry is one prefix table slot: the binding plus the name's
 // lease-holder group (NilPID until the first grant), co-located on the
 // index node so resolution and lease stamping share one descent.
@@ -490,9 +475,9 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 }
 
 // Stats returns a stabilized snapshot of the forwarding and recovery
-// counters (see statsCounters.Snapshot).
+// counters (see metrics.StableRead).
 func (s *Server) Stats() Stats {
-	return s.stats.Snapshot()
+	return metrics.StableRead(s.stats.load)
 }
 
 // TopNames returns the server's hot-name sketch, count-descending.

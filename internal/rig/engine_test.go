@@ -59,7 +59,7 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 		}
 		parTop := buildSharedPrefix(t, team)
-		par := RunWorkloadParallel(parTop.Clients, 0)
+		par := RunWorkloadEngine(parTop.Clients, EngineOptions{})
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("team %d: sharded result differs from sequential\nseq: %+v\npar: %+v", team, seq, par)
 		}

@@ -72,7 +72,7 @@ func TestShardedLeaseEquivalence(t *testing.T) {
 				}
 			}
 			parTop := build()
-			par := RunWorkloadParallel(parTop.Clients, 0)
+			par := RunWorkloadEngine(parTop.Clients, EngineOptions{})
 			if !reflect.DeepEqual(seq, par) {
 				t.Fatalf("leased result differs from sequential\nseq: %+v\npar: %+v", seq, par)
 			}

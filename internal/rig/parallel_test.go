@@ -2,6 +2,7 @@ package rig
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 // buildShards boots a fresh sharded topology and optionally wires a
 // per-lane chaos schedule into the clients' ops: lanes 1 and 3 crash
 // their own shard host mid-workload, pumped from that lane's clients
-// only, so the fault stays lane-local and the parallel driver's
+// only, so the fault stays lane-local and the engine driver's
 // equivalence guarantee holds under it.
 func buildShards(t *testing.T, team int, withChaos bool) *ShardedWorkload {
 	t.Helper()
@@ -50,9 +51,9 @@ func buildShards(t *testing.T, team int, withChaos bool) *ShardedWorkload {
 }
 
 // TestParallelDriverEquivalence asserts the tentpole guarantee: the
-// parallel driver's WorkloadResult — per-client stats, makespan,
+// engine driver's WorkloadResult — per-client stats, makespan,
 // throughput — is deeply equal to the sequential driver's, across team
-// sizes and worker-pool sizes.
+// sizes and GOMAXPROCS settings.
 func TestParallelDriverEquivalence(t *testing.T) {
 	for _, team := range []int{1, 2, 4} {
 		seq := RunWorkload(buildShards(t, team, false).Clients)
@@ -64,15 +65,15 @@ func TestParallelDriverEquivalence(t *testing.T) {
 				t.Fatalf("team %d: sequential client stats %+v, want 12 completions", team, c)
 			}
 		}
-		for _, workers := range []int{1, 2, 4, 0} {
-			par := RunWorkloadParallel(buildShards(t, team, false).Clients, workers)
+		for _, procs := range []int{1, 2} {
+			par := runEngineAt(procs, buildShards(t, team, false).Clients)
 			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("team %d workers %d: parallel result differs\nseq: %+v\npar: %+v",
-					team, workers, seq, par)
+				t.Fatalf("team %d GOMAXPROCS %d: parallel result differs\nseq: %+v\npar: %+v",
+					team, procs, seq, par)
 			}
 			if seq.Throughput() != par.Throughput() {
-				t.Fatalf("team %d workers %d: throughput differs: %v vs %v",
-					team, workers, seq.Throughput(), par.Throughput())
+				t.Fatalf("team %d GOMAXPROCS %d: throughput differs: %v vs %v",
+					team, procs, seq.Throughput(), par.Throughput())
 			}
 		}
 	}
@@ -81,7 +82,7 @@ func TestParallelDriverEquivalence(t *testing.T) {
 // TestParallelDriverEquivalenceUnderChaos repeats the equivalence check
 // with lane-local host crashes firing mid-workload: crashed lanes'
 // clients die with their shard and their remaining iterations fail, and
-// the parallel driver must report the exact same outcome.
+// the engine driver must report the exact same outcome.
 func TestParallelDriverEquivalenceUnderChaos(t *testing.T) {
 	for _, team := range []int{1, 2, 4} {
 		seq := RunWorkload(buildShards(t, team, true).Clients)
@@ -92,12 +93,19 @@ func TestParallelDriverEquivalenceUnderChaos(t *testing.T) {
 		if errs == 0 {
 			t.Fatalf("team %d: chaos schedule never fired (no errors recorded)", team)
 		}
-		for _, workers := range []int{2, 4} {
-			par := RunWorkloadParallel(buildShards(t, team, true).Clients, workers)
+		for _, procs := range []int{1, 2} {
+			par := runEngineAt(procs, buildShards(t, team, true).Clients)
 			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("team %d workers %d: parallel result differs under chaos\nseq: %+v\npar: %+v",
-					team, workers, seq, par)
+				t.Fatalf("team %d GOMAXPROCS %d: parallel result differs under chaos\nseq: %+v\npar: %+v",
+					team, procs, seq, par)
 			}
 		}
 	}
+}
+
+// runEngineAt runs the engine driver with GOMAXPROCS set to procs,
+// restoring the previous setting afterwards.
+func runEngineAt(procs int, clients []*WorkloadClient) *WorkloadResult {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return RunWorkloadEngine(clients, EngineOptions{})
 }

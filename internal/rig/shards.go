@@ -50,7 +50,7 @@ type ShardConfig struct {
 // NewShardedWorkload boots the sharded topology: Shards hosts, each
 // running one file server seeded with the deep hot path, plus
 // ClientsPerShard client processes on the same host whose Op queries
-// ShardHotPath. Clients carry Lane = shard index, so RunWorkloadParallel
+// ShardHotPath. Clients carry Lane = shard index, so RunWorkloadEngine
 // runs one goroutine-lane per shard and RunWorkload reproduces the same
 // result sequentially.
 func NewShardedWorkload(cfg ShardConfig) (*ShardedWorkload, error) {

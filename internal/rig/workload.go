@@ -7,7 +7,7 @@
 // clocks let a server team's workers overlap service in virtual time
 // (the §3.1 concurrency this repo's A11 experiment measures).
 //
-// RunWorkloadParallel extends this to real concurrency: clients are
+// RunWorkloadEngine extends this to real concurrency: clients are
 // partitioned into lanes, each lane runs the same deterministic
 // virtual-time-ordered loop, and lanes execute on real goroutines,
 // synchronized by the conservative engine (internal/engine, PROTOCOL.md
@@ -20,7 +20,6 @@
 package rig
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +53,7 @@ type WorkloadClient struct {
 	// preserves the closed-loop behavior exactly.
 	Arrive func(iter int) time.Duration
 	// Lane assigns the client to a parallel execution lane
-	// (RunWorkloadParallel). Clients in the same lane are stepped
+	// (RunWorkloadEngine). Clients in the same lane are stepped
 	// sequentially in virtual-time order relative to each other; distinct
 	// lanes run on real goroutines. The sequential driver ignores it.
 	Lane int
@@ -125,53 +124,6 @@ func RunWorkload(clients []*WorkloadClient) *WorkloadResult {
 		all[i] = i
 	}
 	res.Requests = runLane(clients, all, res.Clients)
-	finishResult(res, start)
-	return res
-}
-
-// RunWorkloadParallel drives the clients with real concurrency through
-// the conservative engine: lanes run on real goroutines, shared-substrate
-// operations commit in global virtual-time order, lane-confined ones run
-// ahead. The result is deeply equal to RunWorkload's on any topology —
-// the disjointness precondition the pre-engine driver carried is retired
-// (unclassified operations are simply serialized). workers is retained
-// for call-site compatibility and treated as a hint: the engine runs one
-// goroutine per lane (a bounded pool could hold a runnable lane out of
-// the schedule while a pooled lane blocks on it), and real parallelism
-// is bounded by GOMAXPROCS.
-func RunWorkloadParallel(clients []*WorkloadClient, workers int) *WorkloadResult {
-	_ = workers
-	return RunWorkloadEngine(clients, EngineOptions{})
-}
-
-// RunWorkloadLanes is the pre-engine parallel driver, kept for the
-// wall-clock benchmark's engine comparison: lanes run the deterministic
-// loop on a worker pool of the given size (<=0 means GOMAXPROCS) with no
-// cross-lane synchronization at all. Its equivalence guarantee therefore
-// still carries the PR 4 precondition: lanes must be substrate-disjoint
-// (no shared servers, no shared-wire traffic), or results depend on real
-// execution order. New callers want RunWorkloadParallel.
-func RunWorkloadLanes(clients []*WorkloadClient, workers int) *WorkloadResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	res := &WorkloadResult{Clients: make([]ClientStats, len(clients))}
-	start := workloadStart(clients)
-
-	var wg sync.WaitGroup
-	var requests atomic.Int64
-	sem := make(chan struct{}, workers)
-	for _, idxs := range partitionLanes(clients) {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(idxs []int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			requests.Add(int64(runLane(clients, idxs, res.Clients)))
-		}(idxs)
-	}
-	wg.Wait()
-	res.Requests = int(requests.Load())
 	finishResult(res, start)
 	return res
 }
