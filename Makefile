@@ -35,14 +35,15 @@ check: vet
 	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence' ./internal/rig/
 	$(GO) test -race -run 'TestShardedEquivalence|TestShardedUnderChaos|TestShardedPartitionMidFlight' ./internal/rig/
 	$(GO) test -race -run 'TestShardedByteIdenticalToSeed|TestShardJSONDeterministic' ./internal/experiments/
-	$(GO) test -race -run 'TestShardedLeaseEquivalence|TestInvalidationUnderChaos' ./internal/rig/
-	$(GO) test -race -run 'TestLeaseExpiryBoundary|TestNegativeCache|TestLeaseSurvivesFlush' ./internal/client/
+	$(GO) test -race -run 'TestShardedLeaseEquivalence|TestLeaseLapseInThinkWindow|TestInvalidationUnderChaos' ./internal/rig/
+	$(GO) test -race -run 'TestLeaseExpiryBoundary|TestNegativeCache|TestLeaseSurvivesFlush|TestLeaseTableConcurrentCallback' ./internal/client/
 	$(GO) test -race -run 'TestTier' ./internal/ncache/
 	$(GO) test -race -run 'TestA17Shape|TestCacheJSONDeterministic' ./internal/experiments/
 	$(GO) test -race -run 'TestA18Shape|TestZipfJSONDeterministic' ./internal/experiments/
 	$(GO) test -race -count=2 -run 'TestZipfDeterministic' ./internal/popgen/
 	$(GO) test -race -run 'TestOpenLoopEquivalence' ./internal/rig/
 	$(GO) test -run 'TestResolve10e5ZeroAlloc' -count=1 ./internal/nametree/
+	$(GO) test -run 'TestLeaseTable10e5ZeroAlloc' -count=1 ./internal/leasetab/
 	$(GO) test -run 'TestSendZeroAllocUntraced' -count=1 ./internal/kernel/
 	$(GO) test -race -run 'TestMetricsZeroCost|TestMetricsDeterministic|TestA14Shape' ./internal/experiments/
 	$(GO) test -race -count=2 -run 'TestReplicaDeterministic' ./internal/rig/

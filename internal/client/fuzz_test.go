@@ -5,17 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/nametree"
+	"repro/internal/leasetab"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 )
 
-// FuzzCacheKey fuzzes the name-cache key derivation: the routine that
-// decides which per-prefix cache entry a CSname hits (and which entry a
-// rebind invalidates). The key must exist exactly for prefixed names,
-// be the parsed prefix verbatim, and agree with the prefix syntax's own
-// parser — a key mismatch would make the cache serve another prefix's
-// binding.
 // FuzzNegativeCacheKey fuzzes the negative-cache coherence key: a failed
 // lookup of any prefixed name stores its NotFound under the parsed
 // prefix, and a later define of that prefix invalidates holders under
@@ -47,8 +41,8 @@ func FuzzNegativeCacheKey(f *testing.F) {
 			t.Fatalf("define key %q diverges from cache key %q", addKey, pfx)
 		}
 		// And the callback path drops exactly that entry.
-		lc := &leaseCache{entries: nametree.New[leaseEntry]()}
-		lc.entries.Insert(pfx, leaseEntry{negative: true})
+		lc := &leaseCache{entries: leasetab.New[leaseEntry]()}
+		lc.entries.Put(pfx, leaseEntry{negative: true})
 		lc.drop(addKey)
 		if lc.entries.Len() != 0 {
 			t.Fatalf("invalidation of %q stranded negative entry %q", addKey, pfx)
@@ -56,6 +50,12 @@ func FuzzNegativeCacheKey(f *testing.F) {
 	})
 }
 
+// FuzzCacheKey fuzzes the name-cache key derivation: the routine that
+// decides which per-prefix cache entry a CSname hits (and which entry a
+// rebind invalidates). The key must exist exactly for prefixed names,
+// be the parsed prefix verbatim, and agree with the prefix syntax's own
+// parser — a key mismatch would make the cache serve another prefix's
+// binding.
 func FuzzCacheKey(f *testing.F) {
 	f.Add("[home]welcome.txt")
 	f.Add("[storage]/shared/archive/2026/paper.mss")

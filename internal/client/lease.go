@@ -21,9 +21,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/kernel"
+	"repro/internal/leasetab"
 	"repro/internal/metrics"
 	"repro/internal/namestat"
-	"repro/internal/nametree"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -57,16 +57,15 @@ type leaseEntry struct {
 	negative bool
 }
 
-// leaseCache is a session's lease-coherent name cache, keyed on the
-// shared radix index (PROTOCOL.md §14): the session goroutine, the
-// callback process and the engine classifiers (LeasedRoute/LeaseExpiry)
-// all read lock-free off the COW root, so a classifier probing tens of
-// thousands of draws never serializes against invalidations. Counters
-// are atomics (the callback process bumps Invalidations concurrently
-// with the session goroutine's hit path), read through
-// metrics.StableRead.
+// leaseCache is a session's lease-coherent name cache. Its entries live
+// in an exact-key table behind a mutex (internal/leasetab), keyed by
+// prefix name: the session goroutine, the callback process and the
+// engine classifiers (LeasedRoute/LeaseExpiry) each hold the lock for
+// one map operation. Counters are atomics (the callback process bumps
+// Invalidations concurrently with the session goroutine's hit path),
+// read through metrics.StableRead.
 type leaseCache struct {
-	entries *nametree.Tree[leaseEntry]
+	entries *leasetab.Table[leaseEntry]
 	ctr     leaseCounters
 	// rates tracks client-observed per-prefix churn: stale-window widths
 	// measured at the point of failure (PROTOCOL.md §15).
@@ -116,7 +115,7 @@ func (s *Session) EnableLeaseCache() error {
 	if s.leases != nil {
 		return nil
 	}
-	lc := &leaseCache{entries: nametree.New[leaseEntry](), rates: namestat.NewRates(0)}
+	lc := &leaseCache{entries: leasetab.New[leaseEntry](), rates: namestat.NewRates(0)}
 	cb, err := s.proc.Host().Spawn(s.proc.Name()+"/lease-cb", func(p *kernel.Process) {
 		lc.serveCallbacks(p)
 	})
@@ -259,7 +258,7 @@ func (lc *leaseCache) lookup(pfx string, now time.Duration) (leaseEntry, leaseSt
 }
 
 func (lc *leaseCache) store(pfx string, e leaseEntry) {
-	lc.entries.Insert(pfx, e)
+	lc.entries.Put(pfx, e)
 }
 
 func (lc *leaseCache) drop(pfx string) {

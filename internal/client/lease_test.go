@@ -226,3 +226,78 @@ func TestLeaseCacheLifecycle(t *testing.T) {
 		t.Fatalf("validate-on-use read after disable: %v", err)
 	}
 }
+
+// TestLeaseTableConcurrentCallback runs the lease table's three kinds of
+// user at once, as the engine does: the session goroutine reads and
+// re-grants its lease, a second host fires invalidations that the
+// session's callback process applies by deleting the entry, and a third
+// goroutine probes LeasedRoute/LeaseExpiry the way the engine's
+// classifiers do. make check runs it under -race; every probe must see
+// either no entry or the one leased pair, and every invalidation sent
+// must be counted.
+func TestLeaseTableConcurrentCallback(t *testing.T) {
+	const name, key = "[home]welcome.txt", "home"
+	const reads, invalidations = 300, 200
+	r := bootLeased(t, 200*time.Millisecond)
+	s := r.WS[0].Session
+	if _, err := s.ReadFile(name); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := s.LeasedRoute(name, s.Proc().Now())
+	if !ok {
+		t.Fatal("no leased route after warm read")
+	}
+	inv, err := r.WS[1].Host.NewProcess("invalidator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := s.LeaseCallback()
+
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	go func() { // the granting side: callbacks delete the entry
+		for i := 0; i < invalidations; i++ {
+			msg := &proto.Message{}
+			proto.SetCacheInvalidate(msg, key, int64(inv.Now()))
+			if rep, err := inv.Send(msg, cb); err != nil || rep.Op != proto.ReplyOK {
+				errs <- errors.Join(errors.New("invalidation not acknowledged"), err)
+				return
+			}
+		}
+		errs <- nil
+	}()
+	go func() { // the classifier side: pure probes
+		for {
+			select {
+			case <-done:
+				errs <- nil
+				return
+			default:
+			}
+			if pair, ok := s.LeasedRoute(name, 0); ok && pair != want {
+				errs <- errors.New("probe saw a pair that was never leased")
+				return
+			}
+			s.LeaseExpiry(name)
+		}
+	}()
+	for i := 0; i < reads; i++ { // the session side: Get, Delete on expiry, Put
+		if _, err := s.ReadFile(name); err != nil {
+			t.Errorf("read %d: %v", i, err)
+			break
+		}
+	}
+	close(done)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.LeaseCacheStats()
+	if st.Invalidations != invalidations {
+		t.Fatalf("applied %d invalidations, sent %d", st.Invalidations, invalidations)
+	}
+	if got := st.Hits + st.Misses + st.Renewals; got != reads+1 {
+		t.Fatalf("lease lookups %d (%+v), want %d", got, st, reads+1)
+	}
+}

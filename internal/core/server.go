@@ -206,7 +206,8 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 	req := &Request{Msg: msg, From: from, srv: s, proc: p}
 	reply := s.serve(req)
 	if reply == nil {
-		// A stage or the handler replied or forwarded itself.
+		// A stage or the handler replied or forwarded itself (a forward
+		// has already ended the span: ForwardServed).
 		if tr != nil {
 			tr.End(sp, p.Now())
 			p.SetCurrentSpan(0)
@@ -345,8 +346,7 @@ func (s *Server) serveCSName(req *Request) *proto.Message {
 		req.Proc().Kernel().Metrics().
 			Counter("server_forwarded_total", metrics.Labels{Server: s.proc.Name(), Op: req.Msg.Op.String()}).Inc()
 		proto.RewriteCSName(req.Msg, uint32(fwd.Pair.Ctx), fwd.Index)
-		// A failed forward has already failed the sender's transaction.
-		_ = req.Proc().Forward(req.Msg, req.From, fwd.Pair.Server)
+		_ = ForwardServed(req.Proc(), req.Msg, req.From, fwd.Pair.Server)
 		return nil
 	}
 	req.name, req.res = name, res
@@ -392,6 +392,21 @@ func ErrorReplyMsg(err error) *proto.Message {
 
 // OkReply builds an empty success reply.
 func OkReply() *proto.Message { return proto.NewReply(proto.ReplyOK) }
+
+// ForwardServed passes the request pending from `from` on to `to` for a
+// server whose serve span is p's current span, ending that span at p's
+// clock first. The target may serve the request and unblock the client
+// before this goroutine runs again, so a trace snapshot taken the moment
+// the client resumes must already see the serve span closed. Forward
+// charges the forwarder no virtual time, so the span ends at the same
+// virtual time it would after the Forward. A failed forward has already
+// failed the sender's transaction.
+func ForwardServed(p *kernel.Process, msg *proto.Message, from, to kernel.PID) error {
+	if tr := p.Tracer(); tr != nil {
+		tr.End(p.CurrentSpan(), p.Now())
+	}
+	return p.Forward(msg, from, to)
+}
 
 // Transact is the client side of one protocol exchange: send req to
 // server, map failure replies to errors. Failure replies carrying

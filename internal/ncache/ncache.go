@@ -31,9 +31,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/kernel"
+	"repro/internal/leasetab"
 	"repro/internal/metrics"
 	"repro/internal/namestat"
-	"repro/internal/nametree"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -79,11 +79,10 @@ type Tier struct {
 	upstream kernel.PID
 	leaseLen time.Duration
 
-	// entries is the tier's lease table on the shared radix index
-	// (PROTOCOL.md §14): the hit-path lookup is a lock-free descent, so
-	// the serving process never contends with the callback process
-	// dropping entries. mu guards only the holders map.
-	entries *nametree.Tree[entry]
+	// entries is the tier's lease table, an exact-key table behind its
+	// own mutex (internal/leasetab) that the serving process and the
+	// callback process share. mu guards only the holders map.
+	entries *leasetab.Table[entry]
 	mu      sync.Mutex
 	// holders maps each prefix name to the kernel group of downstream
 	// callback pids holding a sub-lease on it.
@@ -108,7 +107,7 @@ func Start(host *kernel.Host, name string, upstream kernel.PID, leaseLen time.Du
 		name:     name,
 		upstream: upstream,
 		leaseLen: leaseLen,
-		entries:  nametree.New[entry](),
+		entries:  leasetab.New[entry](),
 		holders:  make(map[string]kernel.PID),
 		topk:     namestat.NewTopK(32),
 	}
@@ -187,9 +186,8 @@ func (t *Tier) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) 
 	if !ok {
 		t.ctr.fwds.Add(1)
 		t.metric(p, "ncache_forwards_total").Inc()
-		_ = p.Forward(msg, from, t.upstream)
+		_ = core.ForwardServed(p, msg, from, t.upstream)
 		if tr != nil {
-			tr.End(sp, p.Now())
 			p.SetCurrentSpan(0)
 		}
 		return
@@ -293,7 +291,7 @@ func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.M
 	default:
 		return mreply // stamped but not cacheable: relay as-is
 	}
-	t.entries.Insert(pfx, ne)
+	t.entries.Put(pfx, ne)
 	t.leaseEvent(p, "grant", pfx, granted, ne)
 	t.subGrant(p, mreply, pfx, cb, granted, ne)
 	return mreply

@@ -333,9 +333,9 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 	// their lease holders before the write's reply commits it.
 	s.drainDirty(p)
 	if reply == nil {
-		// The request was forwarded along a prefix binding.
+		// The request was forwarded along a prefix binding, and the
+		// serve span ended before the Forward (core.ForwardServed).
 		if tr != nil {
-			tr.End(sp, p.Now())
 			p.SetCurrentSpan(0)
 		}
 		return
@@ -469,8 +469,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	// Counted before the Forward delivers (see core.serveCSName).
 	p.Kernel().Metrics().
 		Counter("prefix_forwards_total", metrics.Labels{Server: s.proc.Name()}).Inc()
-	// A failed forward already failed the client's transaction.
-	_ = p.Forward(msg, from, pair.Server)
+	_ = core.ForwardServed(p, msg, from, pair.Server)
 	return nil
 }
 

@@ -1,13 +1,16 @@
 package rig
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/client"
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -92,6 +95,63 @@ func TestShardedLeaseEquivalence(t *testing.T) {
 					sh, sm, sr, hits, misses, renewals)
 			}
 		})
+	}
+}
+
+// TestLeaseLapseInThinkWindow pins the classifier's probe instant: with
+// per-client think time, a lease can be valid at the pre-think clock
+// (the engine key) and lapse before the operation runs. The classifier
+// must probe at the instant the operation runs, so such an operation is
+// classified Shared and its renewal commits in global key order; the
+// engine result must then be deeply equal to the sequential driver's at
+// one and at two procs. make check runs it under -race.
+func TestLeaseLapseInThinkWindow(t *testing.T) {
+	var lapses atomic.Int64
+	build := func() *SharedPrefixWorkload {
+		sw, err := NewSharedPrefixWorkload(leaseShape)
+		if err != nil {
+			t.Fatalf("build leased workload: %v", err)
+		}
+		for i, c := range sw.Clients {
+			// Think times of 7–10 ms against a 20 ms lease: every few
+			// operations the lease runs out between the pick and the op.
+			c.Think = time.Duration(7+i%4) * time.Millisecond
+			name := fmt.Sprintf("[shard%d]%s", c.Lane, ShardHotPath)
+			classify := c.Classify
+			c.Classify = func(s *client.Session, iter int) engine.Class {
+				now := s.Proc().Now()
+				_, before := s.LeasedRoute(name, now)
+				_, at := s.LeasedRoute(name, now+c.Think)
+				if before && !at {
+					lapses.Add(1)
+				}
+				return classify(s, iter)
+			}
+		}
+		return sw
+	}
+	seqTop := build()
+	seq := RunWorkload(seqTop.Clients)
+	for i, c := range seq.Clients {
+		if c.Errors != 0 {
+			t.Fatalf("sequential client %d saw %d errors", i, c.Errors)
+		}
+	}
+	for _, procs := range []int{1, 2} {
+		lapses.Store(0)
+		parTop := build()
+		par := runEngineAt(procs, parTop.Clients)
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("GOMAXPROCS %d: engine result differs from sequential\nseq: %+v\npar: %+v", procs, seq, par)
+		}
+		if lapses.Load() == 0 {
+			t.Fatalf("GOMAXPROCS %d: no lease lapsed inside a think window; the test needs some", procs)
+		}
+		sh, sm, sr := leaseTotals(seqTop)
+		if h, m, r := leaseTotals(parTop); h != sh || m != sm || r != sr {
+			t.Fatalf("GOMAXPROCS %d: cache counters diverge: seq %d/%d/%d vs engine %d/%d/%d",
+				procs, sh, sm, sr, h, m, r)
+		}
 	}
 }
 

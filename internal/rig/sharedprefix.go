@@ -184,7 +184,6 @@ func NewSharedPrefixWorkload(cfg SharedPrefixConfig) (*SharedPrefixWorkload, err
 			sess := client.New(proc, resolver, fs.RootPair(), "bench")
 			sess.EnableNameCache(true)
 			flush := cfg.FlushEvery
-			classify := confinedOnCachedLocalRoute(k, host, name, flush)
 			if cfg.Lease > 0 {
 				if err := sess.EnableLeaseCache(); err != nil {
 					return nil, fmt.Errorf("shard %d client %d lease cache: %w", s, c, err)
@@ -192,9 +191,8 @@ func NewSharedPrefixWorkload(cfg SharedPrefixConfig) (*SharedPrefixWorkload, err
 				// Lease coherence retires the blind flush: expiry and
 				// callbacks bound staleness instead (PROTOCOL.md §13).
 				flush = 0
-				classify = confinedOnLeasedLocalRoute(k, host, name)
 			}
-			sw.Clients = append(sw.Clients, &WorkloadClient{
+			wc := &WorkloadClient{
 				Session:  sess,
 				Requests: cfg.Requests,
 				Lane:     s,
@@ -205,8 +203,12 @@ func NewSharedPrefixWorkload(cfg SharedPrefixConfig) (*SharedPrefixWorkload, err
 					_, err := s.Query(name)
 					return err
 				},
-				Classify: classify,
-			})
+				Classify: confinedOnCachedLocalRoute(k, host, name, flush),
+			}
+			if cfg.Lease > 0 {
+				wc.Classify = confinedOnLeasedLocalRoute(k, host, wc, func(int) string { return name })
+			}
+			sw.Clients = append(sw.Clients, wc)
 		}
 	}
 	return sw, nil
@@ -221,17 +223,19 @@ func NewSharedPrefixWorkload(cfg SharedPrefixConfig) (*SharedPrefixWorkload, err
 // the topology is ever rewired: an unlabeled or foreign host never
 // classifies as confined.
 // confinedOnLeasedLocalRoute is the lease-cache analogue of
-// confinedOnCachedLocalRoute: Confined exactly when the client holds a
-// positive lease on the name's prefix that will still be valid when the
-// operation runs, routing to a co-shard server. The probe time is the
-// client's clock at classification — the engine publishes that instant
-// as the operation's key and the session re-checks validity at the same
-// clock on entry (client.LeasedRoute), so classifier and operation agree
-// on expiry exactly. A lapsed or absent lease classifies Shared: the
-// revalidation walks the shared wire to the resolver.
-func confinedOnLeasedLocalRoute(k *kernel.Kernel, clientHost *kernel.Host, name string) func(*client.Session, int) engine.Class {
+// confinedOnCachedLocalRoute for client wc, whose iteration iter
+// queries name(iter): Confined exactly when the client holds a positive
+// lease on that name's prefix that will still be valid when the
+// operation runs, routing to a co-shard server. The operation runs after
+// the driver charges wc.Think, so the probe time is the client's clock
+// at classification plus its think time — the instant the session
+// re-checks validity on entry (client.LeasedRoute) — while the engine
+// key stays the pre-think clock. A lease that lapses inside the think
+// window, or an absent one, classifies Shared: the revalidation walks
+// the shared wire to the resolver.
+func confinedOnLeasedLocalRoute(k *kernel.Kernel, clientHost *kernel.Host, wc *WorkloadClient, name func(iter int) string) func(*client.Session, int) engine.Class {
 	return func(s *client.Session, iter int) engine.Class {
-		pair, ok := s.LeasedRoute(name, s.Proc().Now())
+		pair, ok := s.LeasedRoute(name(iter), s.Proc().Now()+wc.Think)
 		if !ok {
 			return engine.Shared
 		}

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/engine"
 	"repro/internal/fileserver"
 	"repro/internal/flight"
 	"repro/internal/kernel"
@@ -253,7 +252,7 @@ func NewZipfWorkload(cfg ZipfConfig) (*ZipfWorkload, error) {
 			zw.Draws[ci] = draws
 			zw.Schedule[ci] = sched
 			zw.Latencies[ci] = lats
-			zw.Clients = append(zw.Clients, &WorkloadClient{
+			wc := &WorkloadClient{
 				Session:  sess,
 				Requests: cfg.Arrivals,
 				Lane:     s,
@@ -263,28 +262,12 @@ func NewZipfWorkload(cfg ZipfConfig) (*ZipfWorkload, error) {
 					lats[iter] = s.Proc().Now() - sched[iter]
 					return err
 				},
-				Classify: confinedOnLeasedDrawRoute(k, host, draws),
-			})
+			}
+			// The driver has already advanced the clock to the arrival
+			// instant when the classifier runs.
+			wc.Classify = confinedOnLeasedLocalRoute(k, host, wc, func(iter int) string { return draws[iter] })
+			zw.Clients = append(zw.Clients, wc)
 		}
 	}
 	return zw, nil
-}
-
-// confinedOnLeasedDrawRoute is confinedOnLeasedLocalRoute for a
-// per-iteration drawn name: Confined exactly when the client holds a
-// positive lease on the draw's prefix, still valid at the operation's
-// effective start (the driver has already advanced the clock to the
-// arrival instant when this runs), routing to a co-shard server.
-func confinedOnLeasedDrawRoute(k *kernel.Kernel, clientHost *kernel.Host, draws []string) func(*client.Session, int) engine.Class {
-	return func(s *client.Session, iter int) engine.Class {
-		pair, ok := s.LeasedRoute(draws[iter], s.Proc().Now())
-		if !ok {
-			return engine.Shared
-		}
-		h := k.HostOf(pair.Server)
-		if h == nil || h.Shard() < 0 || h.Shard() != clientHost.Shard() {
-			return engine.Shared
-		}
-		return engine.Confined
-	}
 }
