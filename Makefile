@@ -38,6 +38,8 @@ check: vet
 	$(GO) test -race -run 'TestShardedLeaseEquivalence|TestLeaseLapseInThinkWindow|TestInvalidationUnderChaos' ./internal/rig/
 	$(GO) test -race -run 'TestLeaseExpiryBoundary|TestNegativeCache|TestLeaseSurvivesFlush|TestLeaseTableConcurrentCallback' ./internal/client/
 	$(GO) test -race -run 'TestTier' ./internal/ncache/
+	$(GO) test -race -run 'TestLeaseGrantAndInvalidate|TestNegativeLeaseOrphans|TestInvalidateWithoutHolders|TestRestoreKeepsLeaseHolders' ./internal/prefix/
+	$(GO) test -race -run 'TestHolders|TestLookupExpiryBoundary|TestFromReply' ./internal/leasetab/
 	$(GO) test -race -run 'TestA17Shape|TestCacheJSONDeterministic' ./internal/experiments/
 	$(GO) test -race -run 'TestA18Shape|TestZipfJSONDeterministic' ./internal/experiments/
 	$(GO) test -race -count=2 -run 'TestZipfDeterministic' ./internal/popgen/

@@ -41,9 +41,9 @@ func FuzzNegativeCacheKey(f *testing.F) {
 			t.Fatalf("define key %q diverges from cache key %q", addKey, pfx)
 		}
 		// And the callback path drops exactly that entry.
-		lc := &leaseCache{entries: leasetab.New[leaseEntry]()}
-		lc.entries.Put(pfx, leaseEntry{negative: true})
-		lc.drop(addKey)
+		lc := &leaseCache{entries: leasetab.New[leasetab.Lease]()}
+		lc.entries.Put(pfx, leasetab.Lease{Negative: true})
+		lc.entries.Delete(addKey)
 		if lc.entries.Len() != 0 {
 			t.Fatalf("invalidation of %q stranded negative entry %q", addKey, pfx)
 		}

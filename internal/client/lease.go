@@ -47,25 +47,15 @@ type LeaseStats struct {
 	Stale int
 }
 
-// leaseEntry is one lease-stamped resolution. A negative entry records
-// the absence of the name: lookups are answered locally with ErrNotFound
-// until the lease expires or a define invalidates it.
-type leaseEntry struct {
-	pair     core.ContextPair
-	grant    time.Duration // client-observed grant time
-	expire   time.Duration // absolute virtual-time expiry
-	negative bool
-}
-
-// leaseCache is a session's lease-coherent name cache. Its entries live
-// in an exact-key table behind a mutex (internal/leasetab), keyed by
-// prefix name: the session goroutine, the callback process and the
-// engine classifiers (LeasedRoute/LeaseExpiry) each hold the lock for
-// one map operation. Counters are atomics (the callback process bumps
-// Invalidations concurrently with the session goroutine's hit path),
-// read through metrics.StableRead.
+// leaseCache is a session's lease-coherent name cache. Its leases live
+// in an exact-key table behind a mutex (internal/leasetab, shared with
+// the ncache tier), keyed by prefix name: the session goroutine, the
+// callback process and the engine classifiers (LeasedRoute/LeaseExpiry)
+// each hold the lock for one map operation. Counters are atomics (the
+// callback process bumps Invalidations concurrently with the session
+// goroutine's hit path), read through metrics.StableRead.
 type leaseCache struct {
-	entries *leasetab.Table[leaseEntry]
+	entries *leasetab.Table[leasetab.Lease]
 	ctr     leaseCounters
 	// rates tracks client-observed per-prefix churn: stale-window widths
 	// measured at the point of failure (PROTOCOL.md §15).
@@ -96,15 +86,6 @@ func (c *leaseCounters) load() LeaseStats {
 	}
 }
 
-// lease lookup outcomes.
-type leaseState int
-
-const (
-	leaseMiss leaseState = iota
-	leaseHit
-	leaseExpired
-)
-
 // EnableLeaseCache turns on lease-coherent caching of prefix
 // resolutions: a callback process is spawned on the session's host to
 // receive invalidations, and every prefix miss asks the prefix server
@@ -115,7 +96,7 @@ func (s *Session) EnableLeaseCache() error {
 	if s.leases != nil {
 		return nil
 	}
-	lc := &leaseCache{entries: leasetab.New[leaseEntry](), rates: namestat.NewRates(0)}
+	lc := &leaseCache{entries: leasetab.New[leasetab.Lease](), rates: namestat.NewRates(0)}
 	cb, err := s.proc.Host().Spawn(s.proc.Name()+"/lease-cb", func(p *kernel.Process) {
 		lc.serveCallbacks(p)
 	})
@@ -182,10 +163,10 @@ func (s *Session) LeasedRoute(name string, at time.Duration) (core.ContextPair, 
 		return core.ContextPair{}, false
 	}
 	e, ok := s.leases.entries.Get(pfx)
-	if !ok || e.negative || at >= e.expire {
+	if !ok || e.Negative || !e.ValidAt(at) {
 		return core.ContextPair{}, false
 	}
-	return e.pair, true
+	return e.Pair, true
 }
 
 // LeaseExpiry returns the absolute virtual-time expiry of the session's
@@ -204,7 +185,7 @@ func (s *Session) LeaseExpiry(name string) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	return e.expire, true
+	return e.Expire, true
 }
 
 // serveCallbacks is the callback process body: it applies
@@ -242,43 +223,10 @@ func (lc *leaseCache) serveCallbacks(p *kernel.Process) {
 	}
 }
 
-// lookup classifies the cache's answer for pfx at virtual time now,
-// dropping entries whose lease has lapsed (they are either re-granted by
-// the revalidation that follows or gone).
-func (lc *leaseCache) lookup(pfx string, now time.Duration) (leaseEntry, leaseState) {
-	e, ok := lc.entries.Get(pfx)
-	if !ok {
-		return leaseEntry{}, leaseMiss
-	}
-	if now >= e.expire {
-		lc.entries.Delete(pfx)
-		return e, leaseExpired
-	}
-	return e, leaseHit
-}
-
-func (lc *leaseCache) store(pfx string, e leaseEntry) {
-	lc.entries.Put(pfx, e)
-}
-
-func (lc *leaseCache) drop(pfx string) {
-	lc.entries.Delete(pfx)
-}
-
 // leaseMetric resolves a lease counter labelled with this session's
 // process name and the client tier.
 func (s *Session) leaseMetric(name string) *metrics.Counter {
 	return s.proc.Kernel().Metrics().Counter(name, metrics.Labels{Server: s.proc.Name(), Class: "client"})
-}
-
-// leaseEvent records a zero-length lease span carrying the entry's stamp.
-func (s *Session) leaseEvent(event, pfx string, at time.Duration, e leaseEntry) {
-	tr := s.proc.Kernel().Tracer()
-	if tr == nil {
-		return
-	}
-	sp := tr.Event(s.proc.CurrentSpan(), trace.KindLease, event+" "+pfx, at, s.proc.TraceID(), "")
-	tr.SetLease(sp, e.grant, e.expire)
 }
 
 // sendLeased routes a prefixed request through the lease cache: a valid
@@ -294,29 +242,29 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 		return nil, fmt.Errorf("%q: %w", name, err)
 	}
 	now := s.proc.Now()
-	entry, state := s.leases.lookup(pfx, now)
+	entry, state := leasetab.Lookup(s.leases.entries, pfx, now)
 
-	if state == leaseHit && entry.negative {
+	if state == leasetab.Hit && entry.Negative {
 		// The name is known absent: answer locally. The stub still costs
 		// its constant — the library ran — but no message leaves the host.
 		s.leases.ctr.negativeHits.Add(1)
 		s.leaseMetric("client_lease_negative_hits_total").Inc()
-		s.leaseEvent("negative-hit", pfx, now, entry)
+		leasetab.Event(s.proc, "negative-hit", pfx, now, entry)
 		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
 		return nil, fmt.Errorf("%q: %w", name, proto.ErrNotFound)
 	}
 
-	if state == leaseHit {
+	if state == leasetab.Hit {
 		s.leases.ctr.hits.Add(1)
 		s.leaseMetric("client_lease_hits_total").Inc()
-		s.leaseEvent("hit", pfx, now, entry)
+		leasetab.Event(s.proc, "hit", pfx, now, entry)
 	} else {
 		// Miss or lapsed lease: revalidate through the prefix server,
 		// asking for a fresh lease.
-		if state == leaseExpired {
+		if state == leasetab.Lapsed {
 			s.leases.ctr.renewals.Add(1)
 			s.leaseMetric("client_lease_renewals_total").Inc()
-			s.leaseEvent("expired", pfx, now, entry)
+			leasetab.Event(s.proc, "expired", pfx, now, entry)
 			s.proc.Kernel().Flight().Record(now, flight.KindLeaseRenew, pfx, s.proc.Name(), "expired")
 		} else {
 			s.leases.ctr.misses.Add(1)
@@ -331,38 +279,30 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 			return nil, fmt.Errorf("%q: %w", name, err)
 		}
 		granted := s.proc.Now()
-		if err := s.replyErr(mreply); err != nil {
-			// A stamped NotFound is a negative lease: cache the absence.
-			if expire, ok := proto.LeaseGrant(mreply); ok && mreply.Op == proto.ReplyNotFound {
-				ne := leaseEntry{grant: granted, expire: time.Duration(expire), negative: true}
-				s.leases.store(pfx, ne)
-				s.leaseEvent("grant", pfx, granted, ne)
+		// A stamped NotFound is a negative lease: the absence is cached
+		// like a pair. An unstamped reply (a prefix server without lease
+		// support) is used for this request but not cached: without a
+		// callback registration, caching it would reintroduce unbounded
+		// staleness.
+		fresh, cacheable := leasetab.FromReply(mreply, granted)
+		if cacheable {
+			s.leases.entries.Put(pfx, fresh)
+			event := "grant"
+			if state == leasetab.Lapsed && !fresh.Negative {
+				event = "renew"
 			}
+			leasetab.Event(s.proc, event, pfx, granted, fresh)
+		}
+		if err := s.replyErr(mreply); err != nil {
 			return nil, fmt.Errorf("%q: %w", name, err)
 		}
-		pid, ctx := proto.GetMapContextReply(mreply)
-		entry = leaseEntry{
-			pair:  core.ContextPair{Server: kernel.PID(pid), Ctx: core.ContextID(ctx)},
-			grant: granted,
-		}
-		if expire, ok := proto.LeaseGrant(mreply); ok {
-			entry.expire = time.Duration(expire)
-			s.leases.store(pfx, entry)
-			if state == leaseExpired {
-				s.leaseEvent("renew", pfx, granted, entry)
-			} else {
-				s.leaseEvent("grant", pfx, granted, entry)
-			}
-		}
-		// An unstamped reply (a prefix server without lease support) is
-		// used for this request but not cached: without a callback
-		// registration, caching it would reintroduce unbounded staleness.
+		entry = fresh
 	}
 
-	proto.SetCSName(req, uint32(entry.pair.Ctx), name[rest:])
-	s.lastRouted = entry.pair.Server
+	proto.SetCSName(req, uint32(entry.Pair.Ctx), name[rest:])
+	s.lastRouted = entry.Pair.Server
 	s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-	reply, err := s.proc.Send(req, entry.pair.Server)
+	reply, err := s.proc.Send(req, entry.Pair.Server)
 	if err != nil {
 		// The leased server died inside the lease window, before any
 		// invalidation could be delivered. Drop the lease and revalidate
@@ -372,9 +312,9 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 		s.leases.ctr.stale.Add(1)
 		s.leaseMetric("client_lease_stale_total").Inc()
 		failedAt := s.proc.Now()
-		s.leases.rates.ObserveStaleWindow(pfx, failedAt-entry.grant)
+		s.leases.rates.ObserveStaleWindow(pfx, failedAt-entry.Grant)
 		s.proc.Kernel().Flight().Record(failedAt, flight.KindFailover, pfx, s.proc.Name(), "stale")
-		s.leases.drop(pfx)
+		s.leases.entries.Delete(pfx)
 		if mayRetry {
 			return s.sendLeased(name, req, false)
 		}

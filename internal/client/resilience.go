@@ -268,7 +268,7 @@ func (s *Session) rebind(name string) {
 		// the same way: the next attempt revalidates and re-leases.
 		if s.leases != nil {
 			if pfx, _, err := cacheKey(name); err == nil {
-				s.leases.drop(pfx)
+				s.leases.entries.Delete(pfx)
 			}
 		}
 		// Prefixed names re-route through the prefix server on the next

@@ -12,19 +12,18 @@
 // each expiring no later than the backing upstream lease, so a client's
 // staleness bound never exceeds the granting server's. An invalidation
 // from the prefix server drops the tier entry and propagates to the
-// tier's own holder groups with the same all-reply barrier semantics
-// (kernel.SendGroupAll) before the tier acknowledges — the prefix
-// server's define/delete therefore still returns only after every
-// reachable cache in the hierarchy, shared or per-client, has dropped
-// the name. The callback process is deliberately distinct from the
-// serving process: the serving process may be blocked inside an
+// tier's own holder groups through the same all-reply barrier the
+// prefix server runs (leasetab.Holders) before the tier acknowledges —
+// the prefix server's define/delete therefore still returns only after
+// every reachable cache in the hierarchy, shared or per-client, has
+// dropped the name. The callback process is deliberately distinct from
+// the serving process: the serving process may be blocked inside an
 // upstream Send while the prefix server waits on the tier's callback,
 // and a single-process tier would deadlock that barrier.
 package ncache
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,14 +57,6 @@ type Stats struct {
 	Forwards uint64
 }
 
-// entry is one upstream lease held by the tier.
-type entry struct {
-	pair     core.ContextPair
-	grant    time.Duration
-	expire   time.Duration
-	negative bool
-}
-
 type counters struct {
 	hits, misses, negHits, renewals atomic.Uint64
 	invalidations, propagated, fwds atomic.Uint64
@@ -79,14 +70,13 @@ type Tier struct {
 	upstream kernel.PID
 	leaseLen time.Duration
 
-	// entries is the tier's lease table, an exact-key table behind its
-	// own mutex (internal/leasetab) that the serving process and the
-	// callback process share. mu guards only the holders map.
-	entries *leasetab.Table[entry]
-	mu      sync.Mutex
-	// holders maps each prefix name to the kernel group of downstream
-	// callback pids holding a sub-lease on it.
-	holders map[string]kernel.PID
+	// entries holds the tier's upstream leases, shared by the serving
+	// process and the callback process; holders registers the
+	// downstream callback pids holding a sub-lease on each name. Both
+	// are internal/leasetab's, the same as the client cache's and the
+	// prefix server's.
+	entries *leasetab.Table[leasetab.Lease]
+	holders *leasetab.Holders
 
 	ctr counters
 
@@ -107,8 +97,8 @@ func Start(host *kernel.Host, name string, upstream kernel.PID, leaseLen time.Du
 		name:     name,
 		upstream: upstream,
 		leaseLen: leaseLen,
-		entries:  leasetab.New[entry](),
-		holders:  make(map[string]kernel.PID),
+		entries:  leasetab.New[leasetab.Lease](),
+		holders:  leasetab.NewHolders(),
 		topk:     namestat.NewTopK(32),
 	}
 	cb, err := host.Spawn(name+"/upstream-cb", t.serveUpstream)
@@ -128,16 +118,6 @@ func Start(host *kernel.Host, name string, upstream kernel.PID, leaseLen time.Du
 // PID returns the tier's serving pid — what clients use as their prefix
 // server address.
 func (t *Tier) PID() kernel.PID { return t.proc.PID() }
-
-// Callback returns the pid of the tier's upstream-callback process.
-func (t *Tier) Callback() kernel.PID { return t.callback.PID() }
-
-// Stop destroys both tier processes (leaving their group memberships via
-// the kernel's destroy path).
-func (t *Tier) Stop() {
-	t.proc.Destroy()
-	t.callback.Destroy()
-}
 
 // Stats returns a snapshot of the tier counters.
 func (t *Tier) Stats() Stats {
@@ -236,27 +216,25 @@ func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.M
 	p.ChargeCompute(p.Kernel().Model().PrefixRewriteCost)
 	now := p.Now()
 	t.topk.Observe(pfx)
-	e, found := t.entries.Get(pfx)
-	if found && now >= e.expire {
-		t.entries.Delete(pfx)
-		found = false
+	e, state := leasetab.Lookup(t.entries, pfx, now)
+	if state == leasetab.Lapsed {
 		t.ctr.renewals.Add(1)
 	}
 
-	if found {
-		if e.negative {
+	if state == leasetab.Hit {
+		if e.Negative {
 			t.ctr.negHits.Add(1)
 			t.metric(p, "ncache_negative_hits_total").Inc()
-			t.leaseEvent(p, "negative-hit", pfx, now, e)
+			leasetab.Event(p, "negative-hit", pfx, now, e)
 			reply := core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, proto.ErrNotFound))
 			t.subGrant(p, reply, pfx, cb, now, e)
 			return reply
 		}
 		t.ctr.hits.Add(1)
 		t.metric(p, "ncache_hits_total").Inc()
-		t.leaseEvent(p, "hit", pfx, now, e)
+		leasetab.Event(p, "hit", pfx, now, e)
 		reply := core.OkReply()
-		proto.SetMapContextReply(reply, uint32(e.pair.Server), uint32(e.pair.Ctx))
+		proto.SetMapContextReply(reply, uint32(e.Pair.Server), uint32(e.Pair.Ctx))
 		t.subGrant(p, reply, pfx, cb, now, e)
 		return reply
 	}
@@ -274,25 +252,16 @@ func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.M
 		return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, err))
 	}
 	granted := p.Now()
-	expire, stamped := proto.LeaseGrant(mreply)
-	if !stamped {
-		// An upstream without lease support: relay the answer unstamped —
-		// the client will use it without caching, and the tier caches
-		// nothing it cannot be called back about.
+	ne, cacheable := leasetab.FromReply(mreply, granted)
+	if !cacheable {
+		// An upstream without lease support, or a stamped reply that is
+		// neither a pair nor an absence: relay it as-is — the client
+		// will use it without caching, and the tier caches nothing it
+		// cannot be called back about.
 		return mreply
 	}
-	ne := entry{grant: granted, expire: time.Duration(expire)}
-	switch {
-	case mreply.Op == proto.ReplyOK:
-		pid, ctx := proto.GetMapContextReply(mreply)
-		ne.pair = core.ContextPair{Server: kernel.PID(pid), Ctx: core.ContextID(ctx)}
-	case mreply.Op == proto.ReplyNotFound:
-		ne.negative = true
-	default:
-		return mreply // stamped but not cacheable: relay as-is
-	}
 	t.entries.Put(pfx, ne)
-	t.leaseEvent(p, "grant", pfx, granted, ne)
+	leasetab.Event(p, "grant", pfx, granted, ne)
 	t.subGrant(p, mreply, pfx, cb, granted, ne)
 	return mreply
 }
@@ -300,21 +269,13 @@ func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.M
 // subGrant stamps reply with a sub-lease expiring at the earlier of the
 // tier's sub-lease length and the backing upstream lease, and registers
 // the downstream callback as a holder.
-func (t *Tier) subGrant(p *kernel.Process, reply *proto.Message, pfx string, cb kernel.PID, now time.Duration, e entry) {
+func (t *Tier) subGrant(p *kernel.Process, reply *proto.Message, pfx string, cb kernel.PID, now time.Duration, e leasetab.Lease) {
 	sub := now + t.leaseLen
-	if e.expire < sub {
-		sub = e.expire
+	if e.Expire < sub {
+		sub = e.Expire
 	}
 	proto.SetLeaseGrant(reply, int64(sub))
-	k := p.Kernel()
-	t.mu.Lock()
-	gid, ok := t.holders[pfx]
-	if !ok {
-		gid = k.CreateGroup()
-		t.holders[pfx] = gid
-	}
-	t.mu.Unlock()
-	_ = k.JoinGroup(gid, cb)
+	t.holders.Join(p.Kernel(), pfx, cb)
 }
 
 // serveUpstream is the callback process body: an OpCacheInvalidate from
@@ -340,22 +301,15 @@ func (t *Tier) serveUpstream(p *kernel.Process) {
 				reply.Op = proto.ReplyBadArgs
 			} else {
 				t.entries.Delete(name)
-				t.mu.Lock()
-				gid, held := t.holders[name]
-				t.mu.Unlock()
 				t.ctr.invalidations.Add(1)
 				t.metric(p, "ncache_invalidations_total").Inc()
 				p.Kernel().Flight().Record(p.Now(), flight.KindInvalidate, name, t.name, "tier")
 				if tr != nil {
 					tr.Event(sp, trace.KindLease, "callback "+name, p.Now(), p.TraceID(), "")
 				}
-				if held {
-					fwd := &proto.Message{}
-					proto.SetCacheInvalidate(fwd, name, commit)
-					if n, err := p.SendGroupAll(fwd, gid); err == nil && n > 0 {
-						t.ctr.propagated.Add(uint64(n))
-						t.metric(p, "ncache_propagated_total").Add(uint64(n))
-					}
+				if n := t.holders.Invalidate(p, name, commit); n > 0 {
+					t.ctr.propagated.Add(uint64(n))
+					t.metric(p, "ncache_propagated_total").Add(uint64(n))
 				}
 			}
 		} else {
@@ -373,16 +327,6 @@ func (t *Tier) serveUpstream(p *kernel.Process) {
 			return
 		}
 	}
-}
-
-// leaseEvent records a zero-length lease span carrying the entry stamp.
-func (t *Tier) leaseEvent(p *kernel.Process, event, pfx string, at time.Duration, e entry) {
-	tr := p.Tracer()
-	if tr == nil {
-		return
-	}
-	sp := tr.Event(p.CurrentSpan(), trace.KindLease, event+" "+pfx, at, p.TraceID(), "")
-	tr.SetLease(sp, e.grant, e.expire)
 }
 
 // metric resolves a tier counter labelled with the tier process and tier

@@ -4,13 +4,13 @@
 // that carry proto.FlagLeaseRequest directly — instead of forwarding the
 // "[p]"-only request to the target server — stamping the reply with an
 // absolute virtual-time expiry and remembering the requester's callback
-// pid in a per-name kernel group. When a binding is defined, deleted or
-// modified, the server multicasts OpCacheInvalidate to that name's
-// holder group and waits for every reachable holder to apply it
-// (kernel.SendGroupAll), so the mutation's reply is a coherence barrier:
-// holders the invalidation cannot reach (crashed or partitioned hosts)
-// are bounded by their lease expiry instead — the provable staleness
-// bound the trace checker enforces.
+// pid in the name's holder group (leasetab.Holders, which the ncache tier
+// shares). When a binding is defined, deleted or modified, the server
+// multicasts OpCacheInvalidate to that group and waits for every
+// reachable holder to apply it (Holders.Invalidate), so the mutation's
+// reply is a coherence barrier: holders the invalidation cannot reach
+// (crashed or partitioned hosts) are bounded by their lease expiry
+// instead — the provable staleness bound the trace checker enforces.
 //
 // Unknown prefixes are granted *negative* leases on the ReplyNotFound:
 // the client answers repeated lookups of the absent name locally until
@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/kernel"
+	"repro/internal/leasetab"
 	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -35,9 +36,6 @@ import (
 func WithLease(d time.Duration) Option {
 	return func(s *Server) { s.leaseLen = d }
 }
-
-// LeaseLength returns the configured lease length (0 when disabled).
-func (s *Server) LeaseLength() time.Duration { return s.leaseLen }
 
 // LeaseStats counts the server's lease activity.
 type LeaseStats struct {
@@ -77,11 +75,8 @@ func (s *Server) leaseWanted(msg *proto.Message, name string, rest int) (kernel.
 
 // stampLease stamps reply with a lease expiring leaseLen from p's
 // current clock and registers the callback as a holder of pfx. negative
-// marks a NotFound stamp. hint is the holder group read off the index
-// node during the resolution descent (NilPID when the node has none
-// yet, or on a negative stamp): when set, the grant needs no second
-// table lookup — grant+lookup is one descent.
-func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string, cb kernel.PID, negative bool, hint kernel.PID) {
+// marks a NotFound stamp.
+func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string, cb kernel.PID, negative bool) {
 	now := p.Now()
 	length := s.leaseLen
 	if s.tuner != nil && !negative {
@@ -92,7 +87,7 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 	}
 	expire := now + length
 	proto.SetLeaseGrant(reply, int64(expire))
-	s.joinHolders(p, pfx, cb, hint)
+	renewal := s.holders.Join(p.Kernel(), pfx, cb)
 	if negative {
 		s.leaseCtr.negatives.Add(1)
 		s.leaseMetric(p, "prefix_lease_negatives_total").Inc()
@@ -100,51 +95,14 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 	} else {
 		s.leaseCtr.grants.Add(1)
 		s.leaseMetric(p, "prefix_lease_grants_total").Inc()
-		if hint != kernel.NilPID {
-			// The holder group predates this grant: some holder leased the
-			// name before, so this grant re-validates — the closest the
-			// granting side comes to seeing a renewal.
+		if renewal {
 			s.rates.ObserveRenewal(pfx, now)
 			p.Kernel().Flight().Record(now, flight.KindLeaseRenew, pfx, s.proc.Name(), "")
 		} else {
 			p.Kernel().Flight().Record(now, flight.KindLeaseGrant, pfx, s.proc.Name(), "")
 		}
 	}
-	if tr := p.Tracer(); tr != nil {
-		sp := tr.Event(p.CurrentSpan(), trace.KindLease, "grant "+pfx, now, p.TraceID(), "")
-		tr.SetLease(sp, now, expire)
-	}
-}
-
-// joinHolders adds cb to pfx's holder group, creating the group on first
-// use. Membership is idempotent and survives invalidations: a holder
-// that re-leases after a callback is already in the group, and destroyed
-// processes leave every group via the kernel's destroy path. With a
-// non-nil hint (the group read off the index node during resolution)
-// the fast path takes no lock; the slow path creates the group on the
-// node — or in the orphan map when the name has no binding — under mu.
-func (s *Server) joinHolders(p *kernel.Process, pfx string, cb kernel.PID, hint kernel.PID) {
-	k := p.Kernel()
-	gid := hint
-	if gid == kernel.NilPID {
-		s.mu.Lock()
-		if e, ok := s.index.Get(pfx); ok {
-			if e.holders == kernel.NilPID {
-				e.holders = k.CreateGroup()
-				s.index.Insert(pfx, e)
-			}
-			gid = e.holders
-		} else {
-			g, ok := s.orphans[pfx]
-			if !ok {
-				g = k.CreateGroup()
-				s.orphans[pfx] = g
-			}
-			gid = g
-		}
-		s.mu.Unlock()
-	}
-	_ = k.JoinGroup(gid, cb)
+	leasetab.Event(p, "grant", pfx, now, leasetab.Lease{Grant: now, Expire: expire})
 }
 
 // invalidateName is the invalidation commit for one name: it records the
@@ -169,20 +127,7 @@ func (s *Server) invalidateName(p *kernel.Process, name string) {
 	if tr := p.Tracer(); tr != nil {
 		tr.Event(p.CurrentSpan(), trace.KindLease, "invalidate "+name, commit, p.TraceID(), "")
 	}
-	s.mu.Lock()
-	gid := kernel.NilPID
-	if e, ok := s.index.Get(name); ok && e.holders != kernel.NilPID {
-		gid = e.holders
-	} else if g, ok := s.orphans[name]; ok {
-		gid = g
-	}
-	s.mu.Unlock()
-	if gid == kernel.NilPID {
-		return
-	}
-	msg := &proto.Message{}
-	proto.SetCacheInvalidate(msg, name, int64(commit))
-	if n, err := p.SendGroupAll(msg, gid); err == nil && n > 0 {
+	if n := s.holders.Invalidate(p, name, int64(commit)); n > 0 {
 		s.leaseCtr.notified.Add(uint64(n))
 		s.leaseMetric(p, "prefix_lease_holders_notified_total").Add(uint64(n))
 		s.rates.ObserveInvalidation(name, commit, n)

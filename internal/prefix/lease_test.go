@@ -90,11 +90,11 @@ func leaseMap(t *testing.T, client *kernel.Process, ps *Server, cb kernel.PID, n
 	return reply
 }
 
-// TestLeaseGrantAndInvalidate walks the whole holder-group life cycle
-// through the radix index: grant onto the node (slow path creating the
-// group, then the descent-hint fast path), deletion parking the group
-// in the orphan map with the callback barrier reaching the holder, and
-// redefinition re-adopting the orphan group so the re-grant reuses it.
+// TestLeaseGrantAndInvalidate walks the whole holder-group life cycle:
+// the first grant creates the name's group in the holder registry and
+// the second joins it, deletion runs the callback barrier at the
+// holder, and the group outlives the binding, so the re-grant after a
+// redefinition reuses it.
 func TestLeaseGrantAndInvalidate(t *testing.T) {
 	ps, client, callback, invalidated := newLeaseRig(t)
 
@@ -105,16 +105,16 @@ func TestLeaseGrantAndInvalidate(t *testing.T) {
 	if _, ok := proto.LeaseGrant(reply); !ok {
 		t.Fatal("reply not lease-stamped")
 	}
-	// Second grant: the holder group now lives on the index node, so the
-	// stamp takes the descent-hint fast path.
+	// Second grant: the holder group already exists, so the stamp only
+	// joins it.
 	leaseMap(t, client, ps, callback.PID(), "[tgt]")
 	if st := ps.LeaseStats(); st.Grants != 2 {
 		t.Fatalf("grants = %d, want 2", st.Grants)
 	}
 
 	// Deleting the binding must run the callback barrier before the
-	// reply: the holder hears the invalidation, and the group is parked
-	// for the name's next life.
+	// reply: the holder hears the invalidation, and the group stays in
+	// the registry for the name's next life.
 	del := &proto.Message{Op: proto.OpDeleteContextName}
 	proto.SetCSName(del, 0, "tgt")
 	if reply, err := client.Send(del, ps.PID()); err != nil || reply.Op != proto.ReplyOK {
@@ -133,7 +133,7 @@ func TestLeaseGrantAndInvalidate(t *testing.T) {
 		t.Fatalf("lease stats after delete: %+v", st)
 	}
 
-	// Redefine and re-grant: the parked group is re-adopted, so the
+	// Redefine and re-grant: the same group serves the name, so the
 	// holder (still a member) hears the next invalidation too.
 	add := &proto.Message{Op: proto.OpAddContextName}
 	proto.SetCSName(add, 0, "tgt")
@@ -154,10 +154,11 @@ func TestLeaseGrantAndInvalidate(t *testing.T) {
 	}
 }
 
-// TestNegativeLeaseOrphans pins the orphan path: a lease request for an
-// undefined name is answered NotFound with a negative stamp, the holder
-// group lives in the orphan map, and defining the name both adopts the
-// group and fires the callback barrier at the negative holders.
+// TestNegativeLeaseOrphans pins the path of a name with no binding: a
+// lease request for an undefined name is answered NotFound with a
+// negative stamp, the holder group is registered although no binding
+// exists, and defining the name fires the callback barrier at the
+// negative holders through that same group.
 func TestNegativeLeaseOrphans(t *testing.T) {
 	ps, client, callback, invalidated := newLeaseRig(t)
 
@@ -168,7 +169,7 @@ func TestNegativeLeaseOrphans(t *testing.T) {
 	if _, ok := proto.LeaseGrant(reply); !ok {
 		t.Fatal("NotFound reply not negatively stamped")
 	}
-	// Second negative: the orphan group already exists.
+	// Second negative: the unbound name's group already exists.
 	leaseMap(t, client, ps, callback.PID(), "[ghost]")
 	if st := ps.LeaseStats(); st.Negatives != 2 {
 		t.Fatalf("negatives = %d, want 2", st.Negatives)
@@ -189,7 +190,7 @@ func TestNegativeLeaseOrphans(t *testing.T) {
 		t.Fatal("negative holders never heard the definition")
 	}
 
-	// The adopted group serves the positive grant now.
+	// The same group serves the positive grant now.
 	if reply := leaseMap(t, client, ps, callback.PID(), "[ghost]"); reply.Op != proto.ReplyOK {
 		t.Fatalf("post-define MapContext ret %v", reply.Op)
 	}
@@ -213,4 +214,61 @@ func TestInvalidateWithoutHolders(t *testing.T) {
 		t.Fatalf("unexpected callback for %q", name)
 	default:
 	}
+}
+
+// TestRestoreKeepsLeaseHolders: a holder granted a lease before a
+// replica table install (ReplicaService.Restore) still hears the next
+// define or delete of its name, whether the installed table binds the
+// name or drops it. One holder has a positive lease on tgt, which the
+// installed table no longer binds, and a negative lease on ghost, which
+// the installed table binds.
+func TestRestoreKeepsLeaseHolders(t *testing.T) {
+	ps, client, callback, invalidated := newLeaseRig(t)
+	if reply := leaseMap(t, client, ps, callback.PID(), "[tgt]"); reply.Op != proto.ReplyOK {
+		t.Fatalf("lease on tgt ret %v", reply.Op)
+	}
+	if reply := leaseMap(t, client, ps, callback.PID(), "[ghost]"); reply.Op != proto.ReplyNotFound {
+		t.Fatalf("negative lease on ghost ret %v", reply.Op)
+	}
+
+	proc, err := ps.Proc().Host().NewProcess("image-source")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(proc.Destroy)
+	src := New(proc, "mann")
+	if err := src.Define("ghost", core.ContextPair{Server: ps.PID(), Ctx: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewReplicaService(ps).Restore(nil, NewReplicaService(src).Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, bound := ps.Bindings()["tgt"]; bound {
+		t.Fatal("installed table still binds tgt")
+	}
+
+	heard := func(op string, want string) {
+		t.Helper()
+		select {
+		case name := <-invalidated:
+			if name != want {
+				t.Fatalf("%s: holder heard %q, want %q", op, name, want)
+			}
+		default:
+			t.Fatalf("%s: the holder leased before the install never heard it", op)
+		}
+	}
+	add := &proto.Message{Op: proto.OpAddContextName}
+	proto.SetCSName(add, 0, "tgt")
+	proto.SetAddContextTarget(add, uint32(ps.PID()), 7)
+	if reply, err := client.Send(add, ps.PID()); err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("define tgt: op=%v err=%v", reply.Op, err)
+	}
+	heard("define tgt", "tgt")
+	del := &proto.Message{Op: proto.OpDeleteContextName}
+	proto.SetCSName(del, 0, "ghost")
+	if reply, err := client.Send(del, ps.PID()); err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("delete ghost: op=%v err=%v", reply.Op, err)
+	}
+	heard("delete ghost", "ghost")
 }

@@ -27,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/kernel"
+	"repro/internal/leasetab"
 	"repro/internal/metrics"
 	"repro/internal/namestat"
 	"repro/internal/nametree"
@@ -123,13 +124,10 @@ type Server struct {
 
 	// index is the prefix table: a COW radix tree (PROTOCOL.md §14)
 	// whose reads — resolution, classifier probes, directory walks,
-	// table snapshots — are lock-free against one immutable root. Each
-	// entry carries the binding and the name's lease-holder group, so a
-	// lease grant stamps off the same node the resolution descended:
-	// grant+lookup is one descent. mu serializes mutations of the index
-	// and guards the plain maps below; it is never taken on the
-	// resolution hit path.
-	index *nametree.Tree[tableEntry]
+	// table snapshots — are lock-free against one immutable root. mu
+	// serializes mutations of the index and guards the plain maps
+	// below; it is never taken on the resolution hit path.
+	index *nametree.Tree[Binding]
 	mu    sync.Mutex
 	// reverse answers the inverse (binding→name) query with the sorted
 	// first-match semantics the linear scan used to give (§6).
@@ -139,12 +137,11 @@ type Server struct {
 	lastResolved map[string]kernel.PID
 
 	// Lease state (lease.go). leaseLen > 0 enables lease granting;
-	// orphans holds the holder groups of names with no current binding
-	// (negative leases, and groups parked across a delete so identity
-	// survives a redefine); dirty queues names a directory-record write
-	// modified, invalidated by the serve loop before the write's reply.
+	// holders keeps each leased name's holder group, bound or not;
+	// dirty queues names a directory-record write modified, invalidated
+	// by the serve loop before the write's reply.
 	leaseLen time.Duration
-	orphans  map[string]kernel.PID
+	holders  *leasetab.Holders
 	dirty    []string
 
 	// stats counters are atomics: team workers bump them concurrently.
@@ -182,14 +179,6 @@ func (c *statsCounters) load() Stats {
 	}
 }
 
-// tableEntry is one prefix table slot: the binding plus the name's
-// lease-holder group (NilPID until the first grant), co-located on the
-// index node so resolution and lease stamping share one descent.
-type tableEntry struct {
-	b       Binding
-	holders kernel.PID
-}
-
 // New creates a prefix server for the given user on proc. Call Run in the
 // process goroutine.
 func New(proc *kernel.Process, owner string, opts ...Option) *Server {
@@ -198,10 +187,10 @@ func New(proc *kernel.Process, owner string, opts ...Option) *Server {
 		owner:        owner,
 		reg:          vio.NewRegistry(),
 		teamSize:     1,
-		index:        nametree.New[tableEntry](),
+		index:        nametree.New[Binding](),
 		reverse:      nametree.NewReverse[core.ContextPair](),
 		lastResolved: make(map[string]kernel.PID),
-		orphans:      make(map[string]kernel.PID),
+		holders:      leasetab.NewHolders(),
 		topk:         namestat.NewTopK(32),
 		rates:        namestat.NewRates(0),
 	}
@@ -263,15 +252,7 @@ func (s *Server) define(name string, b Binding) error {
 	if _, dup := s.index.Get(name); dup {
 		return fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
 	}
-	// A holder group parked by a negative lease or an earlier delete
-	// moves onto the new node, so the define's invalidation (and every
-	// later grant) keeps the group identity.
-	gid := kernel.NilPID
-	if g, ok := s.orphans[name]; ok {
-		gid = g
-		delete(s.orphans, name)
-	}
-	s.index.Insert(name, tableEntry{b: b, holders: gid})
+	s.index.Insert(name, b)
 	if !b.Dynamic {
 		s.reverse.Add(b.Pair, name)
 	}
@@ -283,8 +264,8 @@ func (s *Server) define(name string, b Binding) error {
 // monitor calling this at population scale never stalls resolution.
 func (s *Server) Bindings() map[string]Binding {
 	out := make(map[string]Binding, s.index.Len())
-	s.index.Walk(func(name string, e tableEntry) bool {
-		out[name] = e.b
+	s.index.Walk(func(name string, b Binding) bool {
+		out[name] = b
 		return true
 	})
 	return out
@@ -403,10 +384,8 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	s.topk.Observe(pfx)
 	s.rates.ObserveResolution(pfx, p.Now())
 	p.Kernel().Flight().Record(p.Now(), flight.KindResolution, pfx, s.proc.Name(), "")
-	// The resolution fast path: one lock-free descent of the radix index
-	// yields the binding and the node's holder group together.
-	e, ok := s.index.Get(pfx)
-	b := e.b
+	// The resolution fast path: one lock-free descent of the radix index.
+	b, ok := s.index.Get(pfx)
 	cb, wantLease := s.leaseWanted(msg, name, rest)
 	if !ok {
 		reply := core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, proto.ErrNotFound))
@@ -414,7 +393,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 			// Unknown prefix, lease requested: grant a negative lease so
 			// the holder answers repeated lookups locally until a define
 			// invalidates it (lease.go).
-			s.stampLease(p, reply, pfx, cb, true, kernel.NilPID)
+			s.stampLease(p, reply, pfx, cb, true)
 		}
 		return reply
 	}
@@ -460,7 +439,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 		// protocol would forward it to the target server (lease.go).
 		reply := core.OkReply()
 		proto.SetMapContextReply(reply, uint32(pair.Server), uint32(pair.Ctx))
-		s.stampLease(p, reply, pfx, cb, false, e.holders)
+		s.stampLease(p, reply, pfx, cb, false)
 		return reply
 	}
 	proto.RewriteCSName(msg, uint32(pair.Ctx), rest)
@@ -521,13 +500,13 @@ func (s *Server) handleOwnName(p *kernel.Process, msg *proto.Message, rest strin
 		}
 		return s.openDirectory(p, msg)
 	case proto.OpQueryObject:
-		e, ok := s.index.Get(rest)
+		b, ok := s.index.Get(rest)
 		if !ok {
 			return core.ErrorReplyMsg(proto.ErrNotFound)
 		}
 		p.ChargeCompute(p.Kernel().Model().DescriptorFabricateCost)
 		reply := core.OkReply()
-		d := s.describe(rest, e.b)
+		d := s.describe(rest, b)
 		reply.Segment = d.AppendEncoded(nil)
 		return reply
 	case proto.OpMapContext:
@@ -571,8 +550,8 @@ func (s *Server) openDirectory(p *kernel.Process, msg *proto.Message) *proto.Mes
 	model := p.Kernel().Model()
 	// Walk one immutable snapshot in sorted order — no lock, no re-sort.
 	records := make([]proto.Descriptor, 0, s.index.Len())
-	s.index.Walk(func(n string, e tableEntry) bool {
-		records = append(records, s.describe(n, e.b))
+	s.index.Walk(func(n string, b Binding) bool {
+		records = append(records, s.describe(n, b))
 		return true
 	})
 	records = core.FilterRecords(records, pattern)
@@ -612,15 +591,14 @@ func (s *Server) modifyFromRecord(d proto.Descriptor) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.index.Get(d.Name)
+	old, ok := s.index.Get(d.Name)
 	if !ok {
 		return fmt.Errorf("prefix %q: %w", d.Name, proto.ErrNotFound)
 	}
-	if !e.b.Dynamic {
-		s.reverse.Remove(e.b.Pair, d.Name)
+	if !old.Dynamic {
+		s.reverse.Remove(old.Pair, d.Name)
 	}
-	e.b = b
-	s.index.Insert(d.Name, e)
+	s.index.Insert(d.Name, b)
 	if !b.Dynamic {
 		s.reverse.Add(b.Pair, d.Name)
 	}
@@ -666,19 +644,14 @@ func (s *Server) handleDelete(p *kernel.Process, msg *proto.Message) *proto.Mess
 	}
 	key := strings.Trim(name[index:], "[]")
 	s.mu.Lock()
-	e, ok := s.index.Get(key)
+	b, ok := s.index.Get(key)
 	if !ok {
 		s.mu.Unlock()
 		return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", key, proto.ErrNotFound))
 	}
 	s.index.Delete(key)
-	if e.holders != kernel.NilPID {
-		// Park the holder group so the delete's invalidation reaches it
-		// and a later redefine re-adopts the same group.
-		s.orphans[key] = e.holders
-	}
-	if !e.b.Dynamic {
-		s.reverse.Remove(e.b.Pair, key)
+	if !b.Dynamic {
+		s.reverse.Remove(b.Pair, key)
 	}
 	delete(s.lastResolved, key)
 	s.mu.Unlock()

@@ -102,9 +102,9 @@ func (rs *ReplicaService) Snapshot() []byte {
 	s := rs.s
 	names := make([]string, 0, s.index.Len())
 	binds := make([]Binding, 0, s.index.Len())
-	s.index.Walk(func(n string, e tableEntry) bool {
+	s.index.Walk(func(n string, b Binding) bool {
 		names = append(names, n)
-		binds = append(binds, e.b)
+		binds = append(binds, b)
 		return true
 	})
 	var buf []byte
@@ -180,15 +180,13 @@ func (rs *ReplicaService) Restore(p *kernel.Process, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Drop the current table in place (the index pointer itself is
-	// stable for lock-free readers), parking holder groups so
-	// invalidation identity survives the install.
+	// stable for lock-free readers). Holder groups live outside the
+	// table (leasetab.Holders), so the install leaves every lease
+	// holder reachable by the next invalidation of its name.
 	var oldNames []string
-	s.index.Walk(func(n string, e tableEntry) bool {
-		if e.holders != kernel.NilPID {
-			s.orphans[n] = e.holders
-		}
-		if !e.b.Dynamic {
-			s.reverse.Remove(e.b.Pair, n)
+	s.index.Walk(func(n string, b Binding) bool {
+		if !b.Dynamic {
+			s.reverse.Remove(b.Pair, n)
 		}
 		oldNames = append(oldNames, n)
 		return true
@@ -197,12 +195,7 @@ func (rs *ReplicaService) Restore(p *kernel.Process, data []byte) error {
 		s.index.Delete(n)
 	}
 	for i, name := range names {
-		gid := kernel.NilPID
-		if g, ok := s.orphans[name]; ok {
-			gid = g
-			delete(s.orphans, name)
-		}
-		s.index.Insert(name, tableEntry{b: binds[i], holders: gid})
+		s.index.Insert(name, binds[i])
 		if !binds[i].Dynamic {
 			s.reverse.Add(binds[i].Pair, name)
 		}
