@@ -39,12 +39,13 @@ check: vet
 	$(GO) test -race -run 'TestLeaseExpiryBoundary|TestNegativeCache|TestLeaseSurvivesFlush|TestLeaseTableConcurrentCallback' ./internal/client/
 	$(GO) test -race -run 'TestTier' ./internal/ncache/
 	$(GO) test -race -run 'TestLeaseGrantAndInvalidate|TestNegativeLeaseOrphans|TestInvalidateWithoutHolders|TestRestoreKeepsLeaseHolders' ./internal/prefix/
+	$(GO) test -race -run 'TestDefineAll|TestRestore' ./internal/prefix/
 	$(GO) test -race -run 'TestHolders|TestLookupExpiryBoundary|TestFromReply' ./internal/leasetab/
 	$(GO) test -race -run 'TestA17Shape|TestCacheJSONDeterministic' ./internal/experiments/
 	$(GO) test -race -run 'TestA18Shape|TestZipfJSONDeterministic' ./internal/experiments/
 	$(GO) test -race -count=2 -run 'TestZipfDeterministic' ./internal/popgen/
 	$(GO) test -race -run 'TestOpenLoopEquivalence' ./internal/rig/
-	$(GO) test -run 'TestResolve10e5ZeroAlloc' -count=1 ./internal/nametree/
+	$(GO) test -run 'TestResolve10e5ZeroAlloc|TestLoadMatchesInsert' -count=1 ./internal/nametree/
 	$(GO) test -run 'TestLeaseTable10e5ZeroAlloc' -count=1 ./internal/leasetab/
 	$(GO) test -run 'TestSendZeroAllocUntraced' -count=1 ./internal/kernel/
 	$(GO) test -race -run 'TestMetricsZeroCost|TestMetricsDeterministic|TestA14Shape' ./internal/experiments/

@@ -167,12 +167,11 @@ type ZipfDoc struct {
 // sorted name table (counting string comparisons) — the structure the
 // prefix server used before the radix index replaced it.
 func a18Index(pop *popgen.Population) ZipfIndexPoint {
-	tree := nametree.New[int]()
-	for r, name := range pop.Names {
-		tree.Insert(name, r)
-	}
 	sorted := append([]string(nil), pop.Names...)
 	sort.Strings(sorted)
+	// Only the descent is priced, so the index stores no values.
+	tree := nametree.New[struct{}]()
+	tree.Load(sorted, make([]struct{}, len(sorted)))
 
 	s := pop.Sampler(a18IndexStream)
 	radix, flat := 0, 0

@@ -22,18 +22,16 @@ func population(n int) (names []string, probes []string) {
 	return names, probes
 }
 
-// TestResolve10e5ZeroAlloc is the allocs-per-op gate from the issue: a
-// hit-path Get against a 10⁵-name index performs zero heap allocations.
-// Skipped under -race (the detector's instrumentation allocates).
+// TestResolve10e5ZeroAlloc is the allocs-per-op gate: a hit-path Get
+// against a 10⁵-name index, bulk-built by Load as a population boot
+// builds it, performs zero heap allocations. Skipped under -race (the
+// detector's instrumentation allocates).
 func TestResolve10e5ZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
 	}
 	names, probes := population(100_000)
-	tr := New[int]()
-	for i, n := range names {
-		tr.Insert(n, i)
-	}
+	tr := loadBuilt(names)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		q := probes[i%len(probes)]
@@ -97,5 +95,17 @@ func BenchmarkInsert10e5(b *testing.B) {
 		for j, n := range names {
 			tr.Insert(n, j)
 		}
+	}
+}
+
+// BenchmarkLoad10e5 measures the bulk build of the same population: one
+// bottom-up pass and one root publish (sorting excluded).
+func BenchmarkLoad10e5(b *testing.B) {
+	names, _ := population(100_000)
+	keys, vals := sortedPairs(names)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New[int]().Load(keys, vals)
 	}
 }

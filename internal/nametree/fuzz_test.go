@@ -9,7 +9,8 @@ import (
 // FuzzNametreeLookup feeds arbitrary key material (seeded from the
 // client cacheKey corpus — bracketed V-System context names) through
 // insert/lookup/LPM/delete and cross-checks every answer against a
-// plain map. The input is split on '|' into up to 8 keys; every prefix
+// plain map, then checks a Load-built tree of the same table against
+// that map too. The input is split on '|' into up to 8 keys; every prefix
 // of every key is used as a lookup probe so the LPM path is exercised
 // at each divergence point.
 func FuzzNametreeLookup(f *testing.F) {
@@ -74,6 +75,32 @@ func FuzzNametreeLookup(f *testing.F) {
 		for i := range walked {
 			if walked[i] != wantKeys[i] {
 				t.Fatalf("Walk[%d]=%q, want %q", i, walked[i], wantKeys[i])
+			}
+		}
+		// A Load of the model's table must answer exactly like it.
+		vals := make([]int, len(wantKeys))
+		for i, k := range wantKeys {
+			vals[i] = ref[k]
+		}
+		loaded := New[int]()
+		loaded.Load(wantKeys, vals)
+		if loaded.Len() != len(ref) || loaded.KeyBytes() != tr.KeyBytes() {
+			t.Fatalf("Load: Len/KeyBytes %d/%d, map %d keys, Insert-built %d bytes",
+				loaded.Len(), loaded.KeyBytes(), len(ref), tr.KeyBytes())
+		}
+		for _, k := range keys {
+			for cut := 0; cut <= len(k); cut++ {
+				q := k[:cut]
+				got, ok := loaded.Get(q)
+				want, wantOK := ref[q]
+				if ok != wantOK || (ok && got != want) {
+					t.Fatalf("Load: Get(%q) = (%d,%v), map (%d,%v)", q, got, ok, want, wantOK)
+				}
+				n, v, ok := loaded.LongestPrefix(q)
+				wn, wv, wok := lpm(q)
+				if n != wn || ok != wok || (ok && v != wv) {
+					t.Fatalf("Load: LongestPrefix(%q) = (%d,%d,%v), map (%d,%d,%v)", q, n, v, ok, wn, wv, wok)
+				}
 			}
 		}
 		// Delete everything; the tree must drain to empty.

@@ -25,15 +25,16 @@
 //   - Len and KeyBytes are atomic counters, so table-size probes
 //     (prefix.TableBytes) cost two loads instead of an O(n) scan.
 //
-// Writers (Insert, Delete) serialize on an internal mutex and publish
-// by path-copying the affected spine and atomically swapping the root;
-// readers therefore never observe a partially applied mutation, and a
-// read overlapped by a write sees exactly the tree before or after it —
-// the same semantics a mutex would give, without the reader ever
-// blocking.
+// Writers (Insert, Delete, Load) serialize on an internal mutex and
+// publish by atomically swapping the root: Insert and Delete path-copy
+// the affected spine, Load builds a whole table bottom-up. Readers
+// therefore never observe a partially applied mutation, and a read
+// overlapped by a write sees exactly the tree before or after it — the
+// same semantics a mutex would give, without the reader ever blocking.
 package nametree
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -211,6 +212,75 @@ func insert[V any](n *node[V], key string, v V) (*node[V], bool) {
 		}
 	}
 	return withChild(n, c, mid), false
+}
+
+// Load replaces the tree's contents with keys[i] → vals[i] in one
+// publish. keys must be sorted and strictly increasing; a violation is
+// a programming error and panics before the tree is touched. The tree
+// is built bottom-up with every node allocated once, and is the same
+// canonical tree sequential Inserts of the same keys would build, so a
+// population boot or a table install costs one pass instead of one
+// path copy per key. Readers see the old table or the new one, never a
+// mix.
+func (t *Tree[V]) Load(keys []string, vals []V) {
+	if len(keys) != len(vals) {
+		panic(fmt.Sprintf("nametree: Load of %d keys with %d values", len(keys), len(vals)))
+	}
+	keyBytes := 0
+	for i, k := range keys {
+		if i > 0 && keys[i-1] >= k {
+			panic(fmt.Sprintf("nametree: Load keys not strictly increasing at %d: %q, %q", i, keys[i-1], k))
+		}
+		keyBytes += len(k)
+	}
+	root := &node[V]{}
+	rest, restVals := keys, vals
+	if len(keys) > 0 && keys[0] == "" {
+		root.hasVal, root.val = true, vals[0]
+		rest, restVals = keys[1:], vals[1:]
+	}
+	root.children = build(rest, restVals, 0)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.root.Store(root)
+	t.count.Store(int64(len(keys)))
+	t.keyBytes.Store(int64(keyBytes))
+}
+
+// build returns the child nodes for keys (sorted, distinct, all longer
+// than at and equal on their first at bytes): one node per distinct
+// byte at offset at, in sorted order, in an exactly sized slice — nil
+// when keys is empty, as for a leaf Insert builds.
+func build[V any](keys []string, vals []V, at int) []*node[V] {
+	groups := 0
+	for i := range keys {
+		if i == 0 || keys[i][at] != keys[i-1][at] {
+			groups++
+		}
+	}
+	if groups == 0 {
+		return nil
+	}
+	children := make([]*node[V], 0, groups)
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi][at] == keys[lo][at] {
+			hi++
+		}
+		// Sorted keys: the group's common prefix is that of its first
+		// and last key, and only the first can end there.
+		end := at + commonPrefix(keys[lo][at:], keys[hi-1][at:])
+		n := &node[V]{label: keys[lo][at:end]}
+		rest, restVals := keys[lo:hi], vals[lo:hi]
+		if len(rest[0]) == end {
+			n.hasVal, n.val = true, restVals[0]
+			rest, restVals = rest[1:], restVals[1:]
+		}
+		n.children = build(rest, restVals, end)
+		children = append(children, n)
+		lo = hi
+	}
+	return children
 }
 
 // Delete removes key, reporting whether it was present.

@@ -18,6 +18,7 @@ package prefix
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,9 +244,9 @@ func (s *Server) DefineDynamic(name string, service kernel.Service, wellKnown co
 }
 
 func (s *Server) define(name string, b Binding) error {
-	name = strings.Trim(name, "[]")
-	if name == "" || strings.ContainsAny(name, "[]/") {
-		return fmt.Errorf("%w: bad prefix name %q", proto.ErrBadArgs, name)
+	name, err := tableKey(name)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,6 +258,81 @@ func (s *Server) define(name string, b Binding) error {
 		s.reverse.Add(b.Pair, name)
 	}
 	return nil
+}
+
+// tableKey validates a prefix name and returns its table key: the name
+// with any enclosing brackets dropped.
+func tableKey(name string) (string, error) {
+	name = strings.Trim(name, "[]")
+	if name == "" || strings.ContainsAny(name, "[]/") {
+		return "", fmt.Errorf("%w: bad prefix name %q", proto.ErrBadArgs, name)
+	}
+	return name, nil
+}
+
+// DefineAll binds names[i] to binds[i] for every i, static and dynamic
+// alike, in one index publish: the batch is merged with the current
+// table and the radix index is rebuilt bottom-up (nametree.Load) instead
+// of path-copied once per name. It is the boot path for a whole
+// population. A bad name, or a name bound twice — within the batch or
+// already in the table — is refused before anything changes. Like
+// Define it charges no virtual time and invalidates no lease holders.
+func (s *Server) DefineAll(names []string, binds []Binding) error {
+	if len(names) != len(binds) {
+		return fmt.Errorf("%w: %d names for %d bindings", proto.ErrBadArgs, len(names), len(binds))
+	}
+	batch := make([]batchEntry, len(names))
+	for i, n := range names {
+		key, err := tableKey(n)
+		if err != nil {
+			return err
+		}
+		batch[i] = batchEntry{key, binds[i]}
+	}
+	slices.SortFunc(batch, func(a, b batchEntry) int { return strings.Compare(a.name, b.name) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Merge the sorted batch into the sorted table walk; a name bound
+	// twice lands on adjacent slots.
+	keys := make([]string, 0, s.index.Len()+len(batch))
+	vals := make([]Binding, 0, cap(keys))
+	i := 0
+	s.index.Walk(func(name string, b Binding) bool {
+		for ; i < len(batch) && batch[i].name < name; i++ {
+			keys, vals = append(keys, batch[i].name), append(vals, batch[i].b)
+		}
+		keys, vals = append(keys, name), append(vals, b)
+		return true
+	})
+	for ; i < len(batch); i++ {
+		keys, vals = append(keys, batch[i].name), append(vals, batch[i].b)
+	}
+	for j := 1; j < len(keys); j++ {
+		if keys[j-1] == keys[j] {
+			return fmt.Errorf("%q: %w", keys[j], proto.ErrDuplicateName)
+		}
+	}
+	s.install(keys, vals)
+	return nil
+}
+
+// batchEntry is one name → binding pair of a DefineAll batch.
+type batchEntry struct {
+	name string
+	b    Binding
+}
+
+// install replaces the table with keys[i] → vals[i] (sorted, distinct)
+// in one index publish and rebuilds the reverse map to match. The
+// caller holds s.mu.
+func (s *Server) install(keys []string, vals []Binding) {
+	s.index.Load(keys, vals)
+	s.reverse = nametree.NewReverse[core.ContextPair]()
+	for i, name := range keys {
+		if !vals[i].Dynamic {
+			s.reverse.Add(vals[i].Pair, name)
+		}
+	}
 }
 
 // Bindings returns a snapshot of the prefix table, read from the

@@ -2,6 +2,8 @@ package prefix
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -341,5 +343,97 @@ func TestPrefixProcessingChargesCalibratedCost(t *testing.T) {
 	elapsed := client.Now() - start
 	if elapsed < model.PrefixRewriteCost {
 		t.Fatalf("prefixed request cost %v, must include the %v prefix processing", elapsed, model.PrefixRewriteCost)
+	}
+}
+
+// newBareServer builds a prefix server that is not serving: enough to
+// drive its table and inverse index directly.
+func newBareServer(t *testing.T) *Server {
+	t.Helper()
+	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	proc, err := k.NewHost("ws").NewProcess("prefix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(proc.Destroy)
+	return New(proc, "mann")
+}
+
+// inverseOf asks s's inverse query for the name of pair.
+func inverseOf(s *Server, pair core.ContextPair) string {
+	req := &proto.Message{Op: proto.OpGetContextName}
+	req.F[0], req.F[1] = uint32(pair.Ctx), uint32(pair.Server)
+	reply := s.handleInverse(req)
+	return reply.Op.String() + " " + string(reply.Segment)
+}
+
+// TestDefineAllMatchesDefine pins the bulk define against a Define loop
+// over the same names: equal tables, table sizes and inverse answers,
+// on an empty server and on one that already holds bindings; and a bad
+// name or a duplicate leaves the table untouched.
+func TestDefineAllMatchesDefine(t *testing.T) {
+	pairs := []core.ContextPair{{Server: 5, Ctx: 1}, {Server: 5, Ctx: 2}, {Server: 6, Ctx: 1}, {Server: 7, Ctx: 9}}
+	var names []string
+	var binds []Binding
+	for i := 0; i < 2_000; i++ {
+		name := fmt.Sprintf("%s.n%d", []string{"home", "storage", "pub", "h"}[i%4], i*7919%2_000)
+		if i%50 == 0 {
+			name = Quote(name) // brackets are trimmed on both paths
+		}
+		b := Binding{Pair: pairs[i%len(pairs)]}
+		if i%9 == 0 {
+			b = Binding{Dynamic: true, Service: kernel.ServiceStorage, WellKnown: core.ContextID(i)}
+		}
+		names, binds = append(names, name), append(binds, b)
+	}
+	for _, preset := range []int{0, 300} {
+		t.Run(fmt.Sprintf("preset=%d", preset), func(t *testing.T) {
+			one, bulk := newBareServer(t), newBareServer(t)
+			for i := range names {
+				if err := one.define(names[i], binds[i]); err != nil {
+					t.Fatal(err)
+				}
+				if i < preset {
+					if err := bulk.define(names[i], binds[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := bulk.DefineAll(names[preset:], binds[preset:]); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(bulk.Bindings(), one.Bindings()) {
+				t.Fatal("DefineAll table differs from the Define loop's")
+			}
+			if bulk.TableBytes() != one.TableBytes() {
+				t.Fatalf("TableBytes %d, Define loop %d", bulk.TableBytes(), one.TableBytes())
+			}
+			for _, p := range append(pairs, core.ContextPair{Server: 99, Ctx: 99}) {
+				if got, want := inverseOf(bulk, p), inverseOf(one, p); got != want {
+					t.Fatalf("inverse of %v = %q, Define loop %q", p, got, want)
+				}
+			}
+
+			before, size := bulk.Bindings(), bulk.index.Len()
+			for _, c := range []struct {
+				what  string
+				names []string
+				binds []Binding
+				err   error
+			}{
+				{"bad name", []string{"fresh", "has/slash"}, make([]Binding, 2), proto.ErrBadArgs},
+				{"empty name", []string{"[]"}, make([]Binding, 1), proto.ErrBadArgs},
+				{"length mismatch", []string{"fresh"}, nil, proto.ErrBadArgs},
+				{"duplicate in batch", []string{"fresh", "zz", "[fresh]"}, make([]Binding, 3), proto.ErrDuplicateName},
+				{"duplicate of table", []string{"fresh", names[len(names)-1]}, make([]Binding, 2), proto.ErrDuplicateName},
+			} {
+				if err := bulk.DefineAll(c.names, c.binds); !errors.Is(err, c.err) {
+					t.Fatalf("%s: err = %v, want %v", c.what, err, c.err)
+				}
+				if bulk.index.Len() != size || !reflect.DeepEqual(bulk.Bindings(), before) {
+					t.Fatalf("%s: a refused DefineAll changed the table", c.what)
+				}
+			}
+		})
 	}
 }

@@ -152,8 +152,10 @@ func (rs *ReplicaService) Restore(p *kernel.Process, data []byte) error {
 	if !ok {
 		return bad
 	}
-	names := make([]string, 0, cnt)
-	binds := make([]Binding, 0, cnt)
+	// Every entry takes at least four bytes: a corrupt count cannot
+	// demand more room than the image has.
+	names := make([]string, 0, min(cnt, uint64(len(data))/4))
+	binds := make([]Binding, 0, cap(names))
 	for i := uint64(0); i < cnt; i++ {
 		name, ok1 := str()
 		dyn, ok2 := u64()
@@ -170,6 +172,11 @@ func (rs *ReplicaService) Restore(p *kernel.Process, data []byte) error {
 		} else {
 			bind.Pair = core.ContextPair{Server: kernel.PID(a), Ctx: core.ContextID(b)}
 		}
+		// Snapshot writes names strictly increasing; anything else (a
+		// duplicate above all) is not a table this codec produced.
+		if len(names) > 0 && names[len(names)-1] >= name {
+			return bad
+		}
 		names = append(names, name)
 		binds = append(binds, bind)
 	}
@@ -179,27 +186,12 @@ func (rs *ReplicaService) Restore(p *kernel.Process, data []byte) error {
 	s := rs.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Drop the current table in place (the index pointer itself is
-	// stable for lock-free readers). Holder groups live outside the
-	// table (leasetab.Holders), so the install leaves every lease
-	// holder reachable by the next invalidation of its name.
-	var oldNames []string
-	s.index.Walk(func(n string, b Binding) bool {
-		if !b.Dynamic {
-			s.reverse.Remove(b.Pair, n)
-		}
-		oldNames = append(oldNames, n)
-		return true
-	})
-	for _, n := range oldNames {
-		s.index.Delete(n)
-	}
-	for i, name := range names {
-		s.index.Insert(name, binds[i])
-		if !binds[i].Dynamic {
-			s.reverse.Add(binds[i].Pair, name)
-		}
-	}
+	// Install the whole table in one index publish: a lock-free reader
+	// sees the old table or the new one, never a name both bind missing
+	// in between. Holder groups live outside the table
+	// (leasetab.Holders), so the install leaves every lease holder
+	// reachable by the next invalidation of its name.
+	s.install(names, binds)
 	s.lastResolved = make(map[string]kernel.PID)
 	return nil
 }

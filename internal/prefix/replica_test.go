@@ -2,7 +2,10 @@ package prefix
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -120,7 +123,8 @@ func TestReplicatedPrefixTable(t *testing.T) {
 
 // TestPrefixSnapshotRoundTrip pins the table codec: snapshot and
 // restore reproduce static and dynamic bindings exactly, and corrupt
-// images are rejected whole.
+// images — truncated, padded, or claiming more entries than they
+// hold — are rejected whole.
 func TestPrefixSnapshotRoundTrip(t *testing.T) {
 	_, srvs, _, _ := startReplicatedPrefix(t, 2)
 	src := NewReplicaService(srvs[0])
@@ -152,5 +156,130 @@ func TestPrefixSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := dst.Restore(nil, append(append([]byte(nil), img...), 0)); err == nil {
 		t.Fatalf("Restore accepted trailing garbage")
+	}
+	// An entry count no image could hold is refused, not allocated for.
+	if err := dst.Restore(nil, binary.AppendUvarint(nil, 1<<62)); err == nil {
+		t.Fatalf("Restore accepted an impossible entry count")
+	}
+}
+
+// encodeTable writes entries in the snapshot codec, in the order given
+// — including orders Snapshot never writes.
+func encodeTable(names []string, binds []Binding) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(names)))
+	for i, n := range names {
+		buf = binary.AppendUvarint(buf, uint64(len(n)))
+		buf = append(buf, n...)
+		b := binds[i]
+		if b.Dynamic {
+			buf = binary.AppendUvarint(buf, 1)
+			buf = binary.AppendUvarint(buf, uint64(b.Service))
+			buf = binary.AppendUvarint(buf, uint64(b.WellKnown))
+		} else {
+			buf = binary.AppendUvarint(buf, 0)
+			buf = binary.AppendUvarint(buf, uint64(b.Pair.Server))
+			buf = binary.AppendUvarint(buf, uint64(b.Pair.Ctx))
+		}
+	}
+	return buf
+}
+
+// TestRestoreNeverHidesSharedName: a table install is one publish, so a
+// lock-free reader resolving a name that both the old and the installed
+// table bind never finds it missing — a miss would be answered
+// NotFound with a negative lease. The shared name sorts last, so an
+// install that deleted the old table before inserting the new one
+// would hide it for the whole insert phase. Run under -race.
+func TestRestoreNeverHidesSharedName(t *testing.T) {
+	const shared = "zz.shared"
+	table := func(tag string) ([]string, []Binding) {
+		names := []string{shared}
+		binds := []Binding{{Pair: core.ContextPair{Server: 3, Ctx: 3}}}
+		for i := 0; i < 10_000; i++ {
+			names = append(names, fmt.Sprintf("%s.n%d", tag, i))
+			binds = append(binds, Binding{Pair: core.ContextPair{Server: 3, Ctx: core.ContextID(i)}})
+		}
+		return names, binds
+	}
+	dst, src := newBareServer(t), newBareServer(t)
+	if err := dst.DefineAll(table("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.DefineAll(table("new")); err != nil {
+		t.Fatal(err)
+	}
+	img := NewReplicaService(src).Snapshot()
+
+	var misses, reads atomic.Int64
+	started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, ok := dst.index.Get(shared); !ok {
+				misses.Add(1)
+			}
+			if reads.Add(1) == 1 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	err := NewReplicaService(dst).Restore(nil, img)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := misses.Load(); n > 0 {
+		t.Fatalf("a reader missed %q %d times in %d reads during the install", shared, n, reads.Load())
+	}
+	if !reflect.DeepEqual(dst.Bindings(), src.Bindings()) {
+		t.Fatal("installed table differs from the snapshot source")
+	}
+}
+
+// TestRestoreRefusesDuplicateName: a snapshot binding one name twice is
+// not one Snapshot writes, and installing it would leave the inverse
+// index naming a binding the table no longer holds. It is refused as
+// corrupt with the table and the inverse answers unchanged; so is a
+// snapshot out of name order.
+func TestRestoreRefusesDuplicateName(t *testing.T) {
+	a, b := core.ContextPair{Server: 4, Ctx: 1}, core.ContextPair{Server: 4, Ctx: 2}
+	p1, p2 := core.ContextPair{Server: 8, Ctx: 1}, core.ContextPair{Server: 8, Ctx: 2}
+	s := newBareServer(t)
+	if err := s.DefineAll([]string{"a", "b"}, []Binding{{Pair: a}, {Pair: b}}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Bindings()
+	inverse := func() []string {
+		var out []string
+		for _, p := range []core.ContextPair{a, b, p1, p2} {
+			out = append(out, inverseOf(s, p))
+		}
+		return out
+	}
+	wantInverse := inverse()
+	for _, c := range []struct {
+		what  string
+		names []string
+	}{
+		{"duplicate", []string{"x", "x"}},
+		{"unsorted", []string{"y", "x"}},
+	} {
+		img := encodeTable(c.names, []Binding{{Pair: p1}, {Pair: p2}})
+		if err := NewReplicaService(s).Restore(nil, img); err == nil {
+			t.Fatalf("%s: Restore accepted the snapshot", c.what)
+		}
+		if !reflect.DeepEqual(s.Bindings(), before) {
+			t.Fatalf("%s: a refused snapshot changed the table", c.what)
+		}
+		if got := inverse(); !reflect.DeepEqual(got, wantInverse) {
+			t.Fatalf("%s: inverse answers %q, want %q", c.what, got, wantInverse)
+		}
 	}
 }

@@ -5,7 +5,6 @@ package rig
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/chaos"
 	"repro/internal/client"
@@ -132,20 +131,12 @@ func (r *Rig) RecreateServer(host string, kind ServerKind) error {
 				return err
 			}
 			names := make([]string, 0, len(old))
-			for name := range old {
-				names = append(names, name)
+			binds := make([]prefix.Binding, 0, len(old))
+			for name, b := range old {
+				names, binds = append(names, name), append(binds, b)
 			}
-			sort.Strings(names)
-			for _, name := range names {
-				b := old[name]
-				if b.Dynamic {
-					err = srv.DefineDynamic(name, b.Service, b.WellKnown)
-				} else {
-					err = srv.Define(name, b.Pair)
-				}
-				if err != nil {
-					return err
-				}
+			if err := srv.DefineAll(names, binds); err != nil {
+				return err
 			}
 			ws.Prefix = srv
 			return nil

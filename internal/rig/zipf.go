@@ -205,12 +205,15 @@ func NewZipfWorkload(cfg ZipfConfig) (*ZipfWorkload, error) {
 		zw.Hosts = append(zw.Hosts, host)
 		zw.Shards = append(zw.Shards, fs)
 	}
-	// Bind the whole population: rank r lives on shard r mod Shards, so
-	// every shard carries its share of the popularity head and tail.
-	for r, name := range pop.Names {
-		if err := ps.Define(name, zw.Shards[r%cfg.Shards].RootPair()); err != nil {
-			return nil, fmt.Errorf("rank %d (%q): %w", r, name, err)
-		}
+	// Bind the whole population in one index publish: rank r lives on
+	// shard r mod Shards, so every shard carries its share of the
+	// popularity head and tail.
+	binds := make([]prefix.Binding, len(pop.Names))
+	for r := range binds {
+		binds[r] = prefix.Binding{Pair: zw.Shards[r%cfg.Shards].RootPair()}
+	}
+	if err := ps.DefineAll(pop.Names, binds); err != nil {
+		return nil, fmt.Errorf("population: %w", err)
 	}
 
 	nclients := cfg.Shards * cfg.ClientsPerShard
